@@ -12,24 +12,22 @@ from .entropy import WeightVector, conditional_entropy, df_bound, entropy, \
     weights_from_tree
 from .errors import InvalidInputError, MalformedInputError, ToolError, UsageError
 from .model import NO_NODE, SearchSequence, SearchStats, StaticTree, build_balanced, \
-    build_tree, distance_matrix, lca, step_cost, validate_tree
+    build_tree, validate_tree
 from .multitree import MultiTree, SuccessorTree, build_multitree, node_count, probe, \
     run_multitree, search_costs
-from .optimize import OptResult, PrefixTable, enumerate_optimal, mehlhorn_build, \
-    optimal_lazy_dp, optimal_lazy_naive, optimal_root_dp, prefix_sums, treap_build
+from .optimize import OptResult, mehlhorn_build, optimal_lazy_dp, optimal_root_dp, \
+    treap_build
 from .seqgen import GeneratorSpec, frequencies_from_sequence, generate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CostReport", "GeneratorSpec", "InvalidInputError", "MalformedInputError",
-    "MultiTree", "NO_NODE", "OptResult", "PrefixTable", "SearchSequence",
-    "SearchStats", "StaticTree", "SuccessorTree", "ToolError", "UsageError",
-    "WeightVector", "build_balanced", "build_multitree", "build_tree",
-    "conditional_entropy", "cost_from_frequencies", "df_bound", "distance_matrix",
-    "entropy", "enumerate_optimal", "frequencies_from_sequence", "generate", "lca",
-    "mehlhorn_build", "node_count", "optimal_lazy_dp", "optimal_lazy_naive",
-    "optimal_root_dp", "prefix_sums", "probe", "run_lazy_finger", "run_multitree",
-    "run_root_finger", "search_costs", "step_cost", "treap_build", "validate_tree",
-    "weights_from_tree",
+    "MultiTree", "NO_NODE", "OptResult", "SearchSequence", "SearchStats",
+    "StaticTree", "SuccessorTree", "ToolError", "UsageError", "WeightVector",
+    "build_balanced", "build_multitree", "build_tree", "conditional_entropy",
+    "cost_from_frequencies", "df_bound", "entropy", "frequencies_from_sequence",
+    "generate", "mehlhorn_build", "node_count", "optimal_lazy_dp", "optimal_root_dp",
+    "probe", "run_lazy_finger", "run_multitree", "run_root_finger", "search_costs",
+    "treap_build", "validate_tree", "weights_from_tree",
 ]

@@ -49,7 +49,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise MalformedInputError(f"{path}: not text: {e.reason} at byte {e.start}") from e
 
 
 def _load_stats(args):

@@ -5,6 +5,11 @@ depth(x_i) edges.  A lazy-finger search starts where the previous one
 ended, so search i costs the path length between x_{i-1} and x_i; only
 the first search descends from the root.  Both are exact integer edge
 counts, never floats.
+
+A transition crosses the edge above node v exactly when one of its
+endpoints lies in subtree(v), a key interval.  So the transition cost is
+the sum of ``cut_table`` (transitions with exactly one endpoint in the
+interval) over the subtrees of the non-root nodes.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import NO_NODE, SearchSequence, SearchStats, StaticTree, distance_matrix
+from .model import NO_NODE, SearchSequence, SearchStats, StaticTree
 
 
 @dataclass(frozen=True)
@@ -89,11 +94,41 @@ def run_lazy_finger(t: StaticTree, x: SearchSequence) -> CostReport:
     return _report(transition, descent, x.m)
 
 
+def cut_table(s: SearchStats) -> np.ndarray:
+    """``cut[i, j]`` (0 <= i <= j <= n): transitions with exactly one
+    endpoint in the key interval i+1..j; entries with i > j are junk.
+
+    With ``g = pair + pair^T`` and P its 2D prefix sums, the cut is the
+    row total of g over the interval minus g summed over the square
+    interval x interval.
+    """
+    n = s.n
+    g = s.pair[1:, 1:] + s.pair[1:, 1:].T
+    P = np.zeros((n + 1, n + 1), dtype=np.int64)
+    P[1:, 1:] = g.cumsum(axis=0).cumsum(axis=1)
+    rows = P[:, n]                 # rows[i] = sum of g over rows 1..i
+    d = np.diagonal(P)             # d[i] = sum of g over (1..i) x (1..i)
+    return rows[None, :] - rows[:, None] - (d[None, :] + d[:, None] - 2 * P)
+
+
 def cost_from_frequencies(t: StaticTree, s: SearchStats) -> int:
     """Lazy transition cost from a pair-count table: sum of
-    pair(a, b) * pathlen(a, b) over all ordered pairs."""
+    pair(a, b) * pathlen(a, b) over all ordered pairs, computed as the
+    sum of cut over the subtree intervals of the non-root nodes."""
     _check_universe(t.n, s.n)
     if s.pair.shape != (t.n + 1, t.n + 1):
         raise InvalidInputError("pair table has the wrong shape")
-    dist = distance_matrix(t)
-    return int((s.pair * dist).sum())
+    cut = cut_table(s)
+    total = 0
+    stack = [(t.root, 1, t.n)]
+    while stack:
+        v, lo, hi = stack.pop()
+        if not (lo <= v <= hi):
+            raise InvalidInputError(f"key {v} breaks the search order; not a valid BST")
+        if v != t.root:
+            total += int(cut[lo - 1, hi])
+        if t.left[v] != NO_NODE:
+            stack.append((t.left[v], lo, v - 1))
+        if t.right[v] != NO_NODE:
+            stack.append((t.right[v], v + 1, hi))
+    return total

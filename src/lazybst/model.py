@@ -1,4 +1,4 @@
-"""Key universes, search sequences, static trees, and tree geometry.
+"""Key universes, search sequences, and static trees.
 
 Keys are always the integers ``1..n``.  Every per-key table is a flat
 array of length ``n + 1`` whose slot 0 is unused padding, and ``0`` is
@@ -133,60 +133,6 @@ def build_balanced(n: int) -> StaticTree:
             right[r] = (r + 1 + hi + 1) // 2
             stack.append((r + 1, hi))
     return build_tree(n, root, left, right)
-
-
-def _check_key(t: StaticTree, k: int) -> None:
-    if not (1 <= k <= t.n):
-        raise InvalidInputError(f"key {k} out of range 1..{t.n}")
-
-
-def lca(t: StaticTree, i: int, j: int) -> int:
-    """Lowest common ancestor of keys i and j."""
-    _check_key(t, i)
-    _check_key(t, j)
-    while t.depth[i] > t.depth[j]:
-        i = t.parent[i]
-    while t.depth[j] > t.depth[i]:
-        j = t.parent[j]
-    while i != j:
-        i = t.parent[i]
-        j = t.parent[j]
-    return i
-
-
-def step_cost(t: StaticTree, i: int, j: int) -> int:
-    """Edges on the tree path between i and j."""
-    a = lca(t, i, j)
-    return t.depth[i] + t.depth[j] - 2 * t.depth[a]
-
-
-def distance_matrix(t: StaticTree) -> np.ndarray:
-    """(n+1) x (n+1) int64 matrix of pairwise path lengths (row/col 0 unused)."""
-    n = t.n
-    adj: list[list[int]] = [[] for _ in range(n + 1)]
-    for k in range(1, n + 1):
-        for c in (t.left[k], t.right[k]):
-            if c != NO_NODE:
-                adj[k].append(c)
-                adj[c].append(k)
-    dist = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for src in range(1, n + 1):
-        row = dist[src]
-        seen = [False] * (n + 1)
-        seen[src] = True
-        frontier = [src]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        row[w] = d
-                        nxt.append(w)
-            frontier = nxt
-    return dist
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: random instances, independent
-oracles, and the Eulerian stitcher that turns a count table back into a
-sequence."""
+oracles (tree distances, brute-force and exhaustive optimizers), and the
+Eulerian stitcher that turns a count table back into a sequence."""
 
 from __future__ import annotations
 
@@ -10,8 +10,10 @@ from collections import deque
 
 import numpy as np
 
-from lazybst import (SearchSequence, SearchStats, StaticTree, build_tree,
-                     frequencies_from_sequence)
+from lazybst import (InvalidInputError, NO_NODE, OptResult, SearchSequence,
+                     SearchStats, StaticTree, UsageError, build_tree,
+                     cost_from_frequencies, frequencies_from_sequence)
+from lazybst.optimize import _tree_from_root_table
 
 
 def random_tree(rng: random.Random, n: int) -> StaticTree:
@@ -184,3 +186,180 @@ def exact_weight_inequality_holds(t: StaticTree, dist: np.ndarray) -> bool:
 
 def lg(v: float) -> float:
     return math.log2(v)
+
+
+def _check_key(t: StaticTree, k: int) -> None:
+    if not (1 <= k <= t.n):
+        raise InvalidInputError(f"key {k} out of range 1..{t.n}")
+
+
+def lca(t: StaticTree, i: int, j: int) -> int:
+    """Lowest common ancestor of keys i and j."""
+    _check_key(t, i)
+    _check_key(t, j)
+    while t.depth[i] > t.depth[j]:
+        i = t.parent[i]
+    while t.depth[j] > t.depth[i]:
+        j = t.parent[j]
+    while i != j:
+        i = t.parent[i]
+        j = t.parent[j]
+    return i
+
+
+def step_cost(t: StaticTree, i: int, j: int) -> int:
+    """Edges on the tree path between i and j."""
+    a = lca(t, i, j)
+    return t.depth[i] + t.depth[j] - 2 * t.depth[a]
+
+
+def distance_matrix(t: StaticTree) -> np.ndarray:
+    """(n+1) x (n+1) int64 matrix of pairwise path lengths (row/col 0 unused)."""
+    n = t.n
+    adj: list[list[int]] = [[] for _ in range(n + 1)]
+    for k in range(1, n + 1):
+        for c in (t.left[k], t.right[k]):
+            if c != NO_NODE:
+                adj[k].append(c)
+                adj[c].append(k)
+    dist = np.zeros((n + 1, n + 1), dtype=np.int64)
+    for src in range(1, n + 1):
+        row = dist[src]
+        seen = [False] * (n + 1)
+        seen[src] = True
+        frontier = [src]
+        d = 0
+        while frontier:
+            d += 1
+            nxt = []
+            for v in frontier:
+                for w in adj[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        row[w] = d
+                        nxt.append(w)
+            frontier = nxt
+    return dist
+
+
+def optimal_lazy_naive(s: SearchStats) -> OptResult:
+    """Reference lazy-finger optimizer with all sums evaluated literally.
+
+    For interval [a, b] and candidate root r, the root's child edges are
+    crossed by: transitions between the two sides (twice each),
+    transitions between r and the rest of the interval (once each), and
+    transitions between the interval minus r and the outside world (once
+    each).  O(n^5); use optimal_lazy_dp for anything but tiny n.
+    """
+    n = s.n
+    f = [[int(v) for v in row] for row in s.pair.tolist()]
+    cost = [[0] * (n + 1) for _ in range(n + 2)]
+    root = [[0] * (n + 1) for _ in range(n + 1)]
+    for ln in range(1, n + 1):
+        for a in range(1, n - ln + 2):
+            b = a + ln - 1
+            best = None
+            best_r = 0
+            for r in range(a, b + 1):
+                sub = cost[a][r - 1] + cost[r + 1][b]
+                both = 0
+                for i in range(a, r):
+                    for j in range(r + 1, b + 1):
+                        both += f[i][j] + f[j][i]
+                to_root = 0
+                for i in range(a, b + 1):
+                    if i != r:
+                        to_root += f[i][r] + f[r][i]
+                outside = 0
+                for i in range(a, b + 1):
+                    if i == r:
+                        continue
+                    for j in range(1, a):
+                        outside += f[i][j] + f[j][i]
+                    for j in range(b + 1, n + 1):
+                        outside += f[i][j] + f[j][i]
+                total = sub + 2 * both + to_root + outside
+                if best is None or total < best:
+                    best = total
+                    best_r = r
+            cost[a][b] = best
+            root[a][b] = best_r
+    tree = _tree_from_root_table(n, lambda a, b: root[a][b])
+    return OptResult(tree=tree, cost=cost[1][n])
+
+
+def optimal_root_naive(s: SearchStats) -> OptResult:
+    """Reference root-finger optimizer: the classic interval recurrence
+    scanning every root, ties to the smallest root."""
+    n = s.n
+    w = [0] * (n + 1)
+    for k in range(1, n + 1):
+        w[k] = w[k - 1] + int(s.searches[k])
+    cost = np.zeros((n + 2, n + 1), dtype=np.int64)
+    root = np.zeros((n + 1, n + 1), dtype=np.int32)
+    s_arr = np.asarray(s.searches, dtype=np.int64)
+    for ln in range(1, n + 1):
+        for a in range(1, n - ln + 2):
+            b = a + ln - 1
+            r = np.arange(a, b + 1)
+            total = cost[a, a - 1:b] + cost[a + 1:b + 2, b] \
+                + (w[b] - w[a - 1]) - s_arr[r]
+            k = int(np.argmin(total))
+            cost[a, b] = total[k]
+            root[a, b] = a + k
+    tree = _tree_from_root_table(n, lambda a, b: int(root[a, b]))
+    return OptResult(tree=tree, cost=int(cost[1, n]))
+
+
+def _all_shapes(lo: int, hi: int, memo: dict):
+    """All BST shapes over [lo, hi] as nested (root, left, right) tuples."""
+    if lo > hi:
+        return (None,)
+    key = (lo, hi)
+    got = memo.get(key)
+    if got is None:
+        out = []
+        for r in range(lo, hi + 1):
+            for L in _all_shapes(lo, r - 1, memo):
+                for R in _all_shapes(r + 1, hi, memo):
+                    out.append((r, L, R))
+        got = memo[key] = tuple(out)
+    return got
+
+
+def enumerate_optimal(s: SearchStats, max_n: int = 10) -> OptResult:
+    """Score every BST shape; ties go to the lexicographically smallest
+    preorder.  Refuses n > max_n (Catalan growth)."""
+    n = s.n
+    if n > max_n:
+        raise UsageError(f"enumeration over n={n} trees refused (max_n={max_n})")
+    best_cost = None
+    best_pre = None
+    best_shape = None
+    for shape in _all_shapes(1, n, {}):
+        left = [0] * (n + 1)
+        right = [0] * (n + 1)
+        pre = []
+        stack = [shape]
+        while stack:
+            node = stack.pop()
+            r, L, R = node
+            pre.append(r)
+            if R is not None:
+                right[r] = R[0]
+            if L is not None:
+                left[r] = L[0]
+            # push right first so the left subtree is visited next
+            if R is not None:
+                stack.append(R)
+            if L is not None:
+                stack.append(L)
+        tree = build_tree(n, shape[0], left, right)
+        cost = cost_from_frequencies(tree, s)
+        pre_t = tuple(pre)
+        if best_cost is None or cost < best_cost or \
+                (cost == best_cost and pre_t < best_pre):
+            best_cost = cost
+            best_pre = pre_t
+            best_shape = tree
+    return OptResult(tree=best_shape, cost=best_cost)

@@ -13,14 +13,14 @@ import pytest
 
 from lazybst import (GeneratorSpec, SearchSequence, SearchStats, WeightVector,
                      build_balanced, conditional_entropy, cost_from_frequencies,
-                     df_bound, distance_matrix, entropy, enumerate_optimal,
-                     frequencies_from_sequence, generate, mehlhorn_build,
-                     optimal_lazy_dp, optimal_lazy_naive, optimal_root_dp,
+                     df_bound, entropy, frequencies_from_sequence, generate,
+                     mehlhorn_build, optimal_lazy_dp, optimal_root_dp,
                      run_lazy_finger, run_root_finger, treap_build,
                      validate_tree, weights_from_tree)
 from lazybst.cli import main
 from lazybst.multitree import build_multitree, node_count, run_multitree
-from support import (closed_form_lazy_total, exact_weight_inequality_holds,
+from support import (closed_form_lazy_total, distance_matrix, enumerate_optimal,
+                     exact_weight_inequality_holds, optimal_lazy_naive,
                      random_pair_stats, random_sequence, random_tree)
 
 LG3 = math.log2(3.0)

@@ -74,6 +74,15 @@ def test_stats_missing_file_is_malformed(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_utf8_input_is_malformed(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"2 3\n1 \xff 2\n")
+    for argv in (("stats", "--seq", str(bad)),
+                 ("opt", "--method", "lazy", "--freq", str(bad))):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and err.startswith("error: ")
+
+
 def test_opt_lazy_alternating_freq(tmp_path, capsys):
     seq = seq_file(tmp_path, "x.seq", 3, [1, 3] * 5 + [1])  # pair(1,3)=pair(3,1)=5
     freq = tmp_path / "x.freq"

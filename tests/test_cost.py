@@ -6,9 +6,8 @@ import pytest
 
 from lazybst import (InvalidInputError, SearchSequence, SearchStats,
                      build_balanced, build_tree, cost_from_frequencies,
-                     frequencies_from_sequence, run_lazy_finger, run_root_finger,
-                     step_cost)
-from support import closed_form_lazy_total, random_sequence, random_tree
+                     frequencies_from_sequence, run_lazy_finger, run_root_finger)
+from support import closed_form_lazy_total, random_sequence, random_tree, step_cost
 
 
 def test_root_finger_worked_examples():
@@ -44,6 +43,14 @@ def test_cost_from_frequencies_worked_examples():
     assert cost_from_frequencies(build_balanced(3), s) == 20
     zero = SearchStats.from_pair_counts(3, np.zeros((4, 4), dtype=np.int64))
     assert cost_from_frequencies(bent, zero) == 0
+
+
+def test_cost_from_frequencies_rejects_non_bst():
+    # root 1 -> right 3 -> right 2: key 2 sits where keys above 3 belong
+    bad = build_tree(3, 1, [0, 0, 0, 0], [0, 3, 0, 2])
+    s = SearchStats.from_pair_counts(3, np.ones((4, 4), dtype=np.int64))
+    with pytest.raises(InvalidInputError):
+        cost_from_frequencies(bad, s)
 
 
 def test_universe_mismatch_errors():

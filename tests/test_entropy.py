@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from lazybst import (GeneratorSpec, InvalidInputError, SearchSequence, SearchStats,
                      WeightVector, build_balanced, build_tree, conditional_entropy,
-                     df_bound, distance_matrix, entropy, frequencies_from_sequence,
-                     generate, run_lazy_finger, weights_from_tree)
-from support import (caterpillar_tree, exact_weight_inequality_holds, path_tree,
-                     random_sequence, random_tree, vee_tree)
+                     df_bound, entropy, frequencies_from_sequence, generate,
+                     run_lazy_finger, weights_from_tree)
+from support import (caterpillar_tree, distance_matrix, exact_weight_inequality_holds,
+                     path_tree, random_sequence, random_tree, vee_tree)
 
 
 def _stats_from_counts(counts):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lazybst import (InvalidInputError, SearchSequence, SearchStats, StaticTree,
-                     UsageError, build_balanced, build_tree, distance_matrix, lca,
-                     step_cost, validate_tree)
-from support import path_tree, random_tree, vee_tree, walk_step_oracle
+                     UsageError, build_balanced, build_tree, validate_tree)
+from support import (distance_matrix, lca, path_tree, random_tree, step_cost,
+                     vee_tree, walk_step_oracle)
 
 
 def test_balanced_small_shapes():

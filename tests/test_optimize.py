@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -6,12 +7,14 @@ import pytest
 
 from lazybst import (GeneratorSpec, SearchSequence, SearchStats, UsageError,
                      WeightVector, cost_from_frequencies, df_bound, entropy,
-                     enumerate_optimal, frequencies_from_sequence, generate,
-                     mehlhorn_build, optimal_lazy_dp, optimal_lazy_naive,
-                     optimal_root_dp, prefix_sums, run_lazy_finger, run_root_finger,
-                     treap_build, validate_tree, weights_from_tree)
+                     frequencies_from_sequence, generate, mehlhorn_build,
+                     optimal_lazy_dp, optimal_root_dp, run_lazy_finger,
+                     run_root_finger, treap_build, validate_tree, weights_from_tree)
+from lazybst.cost import cut_table
 from lazybst.fileio import write_tree
-from support import random_pair_stats, random_sequence, stitch_sequence
+from support import (_all_shapes, enumerate_optimal, optimal_lazy_naive,
+                     optimal_root_naive, random_pair_stats, random_sequence,
+                     stitch_sequence)
 
 
 def _alternating_stats():
@@ -21,28 +24,18 @@ def _alternating_stats():
     return SearchStats.from_pair_counts(3, pair)
 
 
-def test_prefix_rectangles_match_naive_double_loops():
+def test_cut_table_matches_literal_count():
     rng = random.Random(8)
-    pair = np.zeros((9, 9), dtype=np.int64)
-    for a in range(1, 9):
-        for b in range(1, 9):
-            pair[a, b] = rng.randint(0, 9)
-    table = prefix_sums(SearchStats.from_pair_counts(8, pair))
-    assert table.P[0, :].max() == 0 and table.P[:, 0].max() == 0
-    for _ in range(100):
-        r1, r2 = sorted(rng.randint(1, 8) for _ in range(2))
-        c1, c2 = sorted(rng.randint(1, 8) for _ in range(2))
-        naive = sum(int(pair[a, b]) for a in range(r1, r2 + 1)
-                    for b in range(c1, c2 + 1))
-        assert table.rect(r1, r2, c1, c2) == naive
-    assert table.rect(3, 2, 1, 8) == 0
-
-
-def test_prefix_single_cell():
-    pair = np.zeros((3, 3), dtype=np.int64)
-    pair[1, 2] = 3
-    table = prefix_sums(SearchStats.from_pair_counts(2, pair))
-    assert table.rect(1, 1, 2, 2) == 3
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        s = random_pair_stats(rng, n)
+        cut = cut_table(s)
+        for a in range(1, n + 1):
+            for b in range(a, n + 1):
+                literal = sum(int(s.pair[i, j]) for i in range(1, n + 1)
+                              for j in range(1, n + 1)
+                              if (a <= i <= b) != (a <= j <= b))
+                assert cut[a - 1, b] == literal
 
 
 def test_lazy_optimizers_trivial_and_alternating():
@@ -85,7 +78,6 @@ def test_oracle_triangle_small():
 
 
 def test_enumerate_counts_catalan_shapes_and_refuses_large():
-    from lazybst.optimize import _all_shapes
     assert len(_all_shapes(1, 3, {})) == 5
     assert len(_all_shapes(1, 8, {})) == 1430
     with pytest.raises(UsageError):
@@ -128,7 +120,7 @@ def test_root_dp_cost_matches_evaluation():
         assert run_root_finger(res.tree, x).transition_cost == res.cost
 
 
-def test_root_dp_knuth_equals_baseline():
+def test_root_dp_equals_baseline():
     rng = random.Random(606)
     for n in (2, 3, 5, 9, 17, 33, 60, 120, 200):
         searches = np.zeros(n + 1, dtype=np.int64)
@@ -137,11 +129,47 @@ def test_root_dp_knuth_equals_baseline():
         s = SearchStats(n, int(searches.sum()), np.zeros((n + 1, n + 1), np.int64),
                         searches, 1, 1)
         fast = optimal_root_dp(s)
-        slow = optimal_root_dp(s, accelerated=False)
+        slow = optimal_root_naive(s)
         assert fast.cost == slow.cost
         assert fast.tree == slow.tree
         assert validate_tree(fast.tree)
         assert int((np.asarray(fast.tree.depth) * searches).sum()) == fast.cost
+
+
+# (cost, sha256 of the tree file) of each optimizer on tie-heavy inputs,
+# recorded from the per-interval-loop optimizers this kernel replaced.
+TIE_PINS = {
+    "sequential-64": (
+        (1197, "497bd33d0e54a7a525139b46c69cc8a02e097e31fc1ab6b8e1b284b31be6ae8d"),
+        (2640, "9c0bd5d12e49076e6a035a46650e3b4a78607bbcc8388895160454d188d7981e")),
+    "bitrev-64": (
+        (4197, "c0b36e529b884d8e31450703d53e44bbde4393e231d0b13f7e5ca0fd421cb857"),
+        (2640, "9c0bd5d12e49076e6a035a46650e3b4a78607bbcc8388895160454d188d7981e")),
+    "markov-96": (
+        (34084, "d876c75caf797ac157547d959a6758dafb335d070f63f3ff2447239d48240108"),
+        (22606, "37e9649fc5d333f9d60156091d0936a83e3f91430697a9264183f2f3f5561552")),
+    "zero-40": (
+        (0, "7ed1be2cf1e05ec4a6f486ef07256ed07491595646fafcc9336aaf42e0f1ef15"),
+        (0, "7ed1be2cf1e05ec4a6f486ef07256ed07491595646fafcc9336aaf42e0f1ef15")),
+}
+
+
+def _pin_stats(name):
+    if name == "zero-40":
+        return SearchStats.from_pair_counts(40, np.zeros((41, 41), dtype=np.int64))
+    spec = {"sequential-64": GeneratorSpec("sequential", 64, 640),
+            "bitrev-64": GeneratorSpec("bitrev", 64, 640),
+            "markov-96": GeneratorSpec("markov", 96, 5000, seed=5)}[name]
+    return frequencies_from_sequence(generate(spec))
+
+
+@pytest.mark.parametrize("name", sorted(TIE_PINS))
+def test_tie_break_pins(name):
+    s = _pin_stats(name)
+    for fn, (cost, digest) in zip((optimal_lazy_dp, optimal_root_dp), TIE_PINS[name]):
+        res = fn(s)
+        assert res.cost == cost
+        assert hashlib.sha256(write_tree(res.tree).encode()).hexdigest() == digest
 
 
 def test_mehlhorn_worked_examples():
