@@ -9,7 +9,8 @@ counts, never floats.
 A transition crosses the edge above node v exactly when one of its
 endpoints lies in subtree(v), a key interval.  So the transition cost is
 the sum of ``cut_table`` (transitions with exactly one endpoint in the
-interval) over the subtrees of the non-root nodes.
+interval) over the subtree intervals that ``model.subtree_intervals``
+lists for the non-root nodes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import NO_NODE, SearchSequence, SearchStats, StaticTree
+from .model import NO_NODE, SearchSequence, SearchStats, StaticTree, subtree_intervals
 
 
 @dataclass(frozen=True)
@@ -118,17 +119,9 @@ def cost_from_frequencies(t: StaticTree, s: SearchStats) -> int:
     _check_universe(t.n, s.n)
     if s.pair.shape != (t.n + 1, t.n + 1):
         raise InvalidInputError("pair table has the wrong shape")
-    cut = cut_table(s)
-    total = 0
-    stack = [(t.root, 1, t.n)]
-    while stack:
-        v, lo, hi = stack.pop()
-        if not (lo <= v <= hi):
-            raise InvalidInputError(f"key {v} breaks the search order; not a valid BST")
-        if v != t.root:
-            total += int(cut[lo - 1, hi])
-        if t.left[v] != NO_NODE:
-            stack.append((t.left[v], lo, v - 1))
-        if t.right[v] != NO_NODE:
-            stack.append((t.right[v], v + 1, hi))
-    return total
+    nodes = subtree_intervals(t)
+    if nodes is None:
+        raise InvalidInputError("tree breaks the search order; not a valid BST")
+    _, lo, hi = np.array(nodes, dtype=np.int64).T
+    # The root's interval is 1..n, whose cut is 0.
+    return int(cut_table(s)[lo - 1, hi].sum())

@@ -56,9 +56,6 @@ def read_sequence(text: str) -> SearchSequence:
     if len(toks) != 2 + m:
         raise MalformedInputError(f"sequence file: expected {m} items, found {len(toks) - 2}")
     items = [_int(t, "sequence item") for t in toks[2:]]
-    for v in items:
-        if not (1 <= v <= n):
-            raise InvalidInputError(f"sequence file: key {v} out of range 1..{n}")
     return SearchSequence(n, np.asarray(items, dtype=np.int64))
 
 
@@ -180,8 +177,17 @@ def read_freq(text: str) -> SearchStats:
             raise MalformedInputError(f"frequency file: {name} out of range 1..{n}")
     if int(searches.sum()) != m:
         raise InvalidInputError("frequency file: search counts do not sum to m")
-    if int(pair.sum()) != max(m - 1, 0):
-        raise InvalidInputError("frequency file: pair counts do not sum to m - 1")
+    # Each search of a key ends a transition into it or is the first
+    # search, and starts a transition out of it or is the last; summed
+    # over keys this also makes the pair counts total m - 1.
+    into = pair.sum(axis=0)
+    into[first] += 1
+    out = pair.sum(axis=1)
+    out[last] += 1
+    bad = np.nonzero((into[1:] != searches[1:]) | (out[1:] != searches[1:]))[0]
+    if bad.size:
+        raise InvalidInputError(f"frequency file: search count of key {bad[0] + 1} "
+                                "disagrees with its pair counts")
     return SearchStats(n=n, m=m, pair=pair, searches=searches, first=first, last=last)
 
 

@@ -4,10 +4,15 @@ Keys are always the integers ``1..n``.  Every per-key table is a flat
 array of length ``n + 1`` whose slot 0 is unused padding, and ``0`` is
 the "no node" sentinel for child and parent slots.  This matches the
 on-disk formats, so nothing ever translates between representations.
+
+Every subtree of a BST is a key interval, so a tree is a choice of root
+per interval: ``tree_from_splits`` turns such a choice into a tree and
+``subtree_intervals`` reads the intervals back out of one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,34 +81,65 @@ def build_tree(n: int, root: int, left, right) -> StaticTree:
     return StaticTree(n, root, left, right, tuple(depth), tuple(parent))
 
 
+def tree_from_splits(n: int, split: Callable[[int, int], int]) -> StaticTree:
+    """The tree whose subtree on each key interval lo..hi is rooted at
+    ``split(lo, hi)``, a key in lo..hi.
+
+    ``split`` is called exactly once per subtree interval, in preorder
+    (node, then left subinterval, then right), so a split that consumes
+    random draws gives the same tree for the same generator state.
+    """
+    left = [0] * (n + 1)
+    right = [0] * (n + 1)
+    root = 0
+    stack = [(1, n, 0)]
+    while stack:
+        lo, hi, parent = stack.pop()
+        r = split(lo, hi)
+        if parent == 0:
+            root = r
+        elif r < parent:
+            left[parent] = r
+        else:
+            right[parent] = r
+        if r < hi:
+            stack.append((r + 1, hi, r))
+        if lo < r:
+            stack.append((lo, r - 1, r))
+    return build_tree(n, root, left, right)
+
+
+def subtree_intervals(t: StaticTree) -> list[tuple[int, int, int]] | None:
+    """``(v, lo, hi)`` for every node v reached from the root, where
+    lo..hi is the key interval subtree(v) must cover in a BST; None as
+    soon as a key leaves its interval.
+
+    Sibling intervals are disjoint and a child's interval excludes its
+    parent, so no key is visited twice and the walk ends on any child
+    table, cyclic or shared ones included.
+    """
+    nodes = []
+    stack = [(t.root, 1, t.n)]
+    while stack:
+        v, lo, hi = stack.pop()
+        if not (lo <= v <= hi):
+            return None
+        nodes.append((v, lo, hi))
+        if t.right[v] != NO_NODE:
+            stack.append((t.right[v], v + 1, hi))
+        if t.left[v] != NO_NODE:
+            stack.append((t.left[v], lo, v - 1))
+    return nodes
+
+
 def validate_tree(t: StaticTree) -> bool:
     """True iff t is a well-formed BST with consistent derived tables."""
     n = t.n
-    if n < 1 or not (1 <= t.root <= n):
+    if any(len(tab) != n + 1 for tab in (t.left, t.right, t.depth, t.parent)):
         return False
-    for tab in (t.left, t.right, t.depth, t.parent):
-        if len(tab) != n + 1:
-            return False
-    if any(not (0 <= t.left[k] <= n) or not (0 <= t.right[k] <= n)
-           for k in range(1, n + 1)):
-        return False
-    # Iterative in-order walk; a well-formed BST over 1..n visits exactly
-    # 1, 2, ..., n.  Bail out if more than n nodes show up (cycle).
-    seen = [False] * (n + 1)
-    order = []
-    stack = []
-    v = t.root
-    while (v != NO_NODE or stack) and len(order) <= n:
-        while v != NO_NODE:
-            if seen[v]:
-                return False
-            seen[v] = True
-            stack.append(v)
-            v = t.left[v]
-        v = stack.pop()
-        order.append(v)
-        v = t.right[v]
-    if order != list(range(1, n + 1)):
+    # Every key inside its interval and n keys reached: a BST over 1..n.
+    nodes = subtree_intervals(t)
+    if nodes is None or len(nodes) != n:
         return False
     if t.depth[t.root] != 0 or t.parent[t.root] != NO_NODE:
         return False
@@ -119,20 +155,7 @@ def build_balanced(n: int) -> StaticTree:
     root ceil((lo + hi) / 2)."""
     if n < 1:
         raise UsageError("n must be >= 1")
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
-    root = (1 + n + 1) // 2
-    stack = [(1, n)]
-    while stack:
-        lo, hi = stack.pop()
-        r = (lo + hi + 1) // 2
-        if lo < r:
-            left[r] = (lo + r) // 2
-            stack.append((lo, r - 1))
-        if r < hi:
-            right[r] = (r + 1 + hi + 1) // 2
-            stack.append((r + 1, hi))
-    return build_tree(n, root, left, right)
+    return tree_from_splits(n, lambda lo, hi: (lo + hi + 1) // 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +172,8 @@ class SearchSequence:
         if arr.ndim != 1:
             raise InvalidInputError("items must be one-dimensional")
         if arr.size and (arr.min() < 1 or arr.max() > self.n):
-            raise InvalidInputError("sequence item out of range")
+            v = arr[(arr < 1) | (arr > self.n)][0]
+            raise InvalidInputError(f"sequence key {v} out of range 1..{self.n}")
         object.__setattr__(self, "items", arr)
 
     @property

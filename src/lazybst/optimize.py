@@ -10,6 +10,9 @@ a 2-vCPU machine it was faster up to n=1024 (0.52 s against 0.69 s) and
 about 10% slower at n=2048 (5.4 s against 5.0 s).  All tie-breaks
 prefer the smallest root per interval, which makes every optimizer
 deterministic.
+
+Every builder here only picks a root per key interval; the tree itself
+comes from ``model.tree_from_splits``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .cost import cut_table
 from .entropy import WeightVector
-from .model import SearchStats, StaticTree, build_tree
+from .model import SearchStats, StaticTree, tree_from_splits
 
 
 @dataclass(frozen=True)
@@ -56,26 +59,8 @@ def _interval_dp(n: int, weight: np.ndarray) -> OptResult:
         G = cost + np.diagonal(weight, ln)
         H[1:A + 1, ln] = G
         E[ln:n + 1, n - ln] = G
-    tree = _tree_from_root_table(n, lambda a, b: a + int(root[a, b - a + 1]))
+    tree = tree_from_splits(n, lambda a, b: a + int(root[a, b - a + 1]))
     return OptResult(tree=tree, cost=int(cost[0]))
-
-
-def _tree_from_root_table(n: int, root_at) -> StaticTree:
-    """Materialize the tree encoded by a per-interval root choice."""
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
-    top = root_at(1, n)
-    stack = [(1, n)]
-    while stack:
-        a, b = stack.pop()
-        r = root_at(a, b)
-        if a <= r - 1:
-            left[r] = root_at(a, r - 1)
-            stack.append((a, r - 1))
-        if r + 1 <= b:
-            right[r] = root_at(r + 1, b)
-            stack.append((r + 1, b))
-    return build_tree(n, top, left, right)
 
 
 def optimal_lazy_dp(s: SearchStats) -> OptResult:
@@ -97,10 +82,7 @@ def mehlhorn_build(w: WeightVector) -> StaticTree:
     """Weight-bisection tree: each interval's root minimizes the absolute
     difference between left and right subtree weight, ties to the
     smaller key.  Guarantees depth(j) <= 2 + 1.45 lg(W / w_j)."""
-    n = w.n
     prefix = w.prefix
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
 
     def pick(lo: int, hi: int) -> int:
         # g(r) = left weight - right weight is strictly increasing in r;
@@ -123,18 +105,7 @@ def mehlhorn_build(w: WeightVector) -> StaticTree:
                 return r - 1
         return r
 
-    top = pick(1, n)
-    stack = [(1, n)]
-    while stack:
-        lo, hi = stack.pop()
-        r = pick(lo, hi)
-        if lo < r:
-            left[r] = pick(lo, r - 1)
-            stack.append((lo, r - 1))
-        if r < hi:
-            right[r] = pick(r + 1, hi)
-            stack.append((r + 1, hi))
-    return build_tree(n, top, left, right)
+    return tree_from_splits(w.n, pick)
 
 
 def treap_build(w: WeightVector, seed: int) -> StaticTree:
@@ -146,29 +117,12 @@ def treap_build(w: WeightVector, seed: int) -> StaticTree:
     then left subinterval, then right), one uniform draw per interval
     mapped onto the weight prefix sums.
     """
-    n = w.n
     rng = random.Random(seed)
     prefix = w.prefix.tolist()
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
-    top = 0
-    # stack entries: (lo, hi, parent, as_left); pushed so that pops give preorder
-    stack = [(1, n, 0, False)]
-    while stack:
-        lo, hi, parent, as_left = stack.pop()
-        total = prefix[hi] - prefix[lo - 1]
-        u = prefix[lo - 1] + rng.random() * total
-        r = bisect.bisect_right(prefix, u, lo, hi + 1)
-        if r > hi:  # float edge: u landed at or past the last prefix
-            r = hi
-        if parent == 0:
-            top = r
-        elif as_left:
-            left[parent] = r
-        else:
-            right[parent] = r
-        if r < hi:
-            stack.append((r + 1, hi, r, False))
-        if lo < r:
-            stack.append((lo, r - 1, r, True))
-    return build_tree(n, top, left, right)
+
+    def draw(lo: int, hi: int) -> int:
+        u = prefix[lo - 1] + rng.random() * (prefix[hi] - prefix[lo - 1])
+        # float edge: u can land at or past the last prefix
+        return min(bisect.bisect_right(prefix, u, lo, hi + 1), hi)
+
+    return tree_from_splits(w.n, draw)

@@ -7,6 +7,7 @@ same sequence byte for byte.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -121,16 +122,14 @@ def generate(spec: GeneratorSpec) -> SearchSequence:
     matrix = _check_matrix(matrix, n)
     if m == 0:
         return SearchSequence(n, np.zeros(0, dtype=np.int64))
-    cum = matrix.cumsum(axis=1)
-    items = np.empty(m, dtype=np.int64)
+    cum = matrix.cumsum(axis=1).tolist()
     cur = int(rng.integers(1, n + 1))
-    items[0] = cur
-    draws = rng.random(m - 1)
-    for i in range(1, m):
-        nxt = int(np.searchsorted(cum[cur - 1], draws[i - 1], side="right")) + 1
-        cur = min(nxt, n)  # guard the u == 1.0-epsilon edge of the last bucket
-        items[i] = cur
-    return SearchSequence(n, items)
+    items = [cur]
+    for u in rng.random(m - 1).tolist():
+        # min: guard the u == 1.0-epsilon edge of the last bucket
+        cur = min(bisect.bisect_right(cum[cur - 1], u) + 1, n)
+        items.append(cur)
+    return SearchSequence(n, np.array(items, dtype=np.int64))
 
 
 def frequencies_from_sequence(x: SearchSequence) -> SearchStats:

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: random instances, independent
-oracles (tree distances, brute-force and exhaustive optimizers), and the
-Eulerian stitcher that turns a count table back into a sequence."""
+oracles (tree distances, tree validation, brute-force and exhaustive
+optimizers), and the Eulerian stitcher that turns a count table back
+into a sequence."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 from lazybst import (InvalidInputError, NO_NODE, OptResult, SearchSequence,
                      SearchStats, StaticTree, UsageError, build_tree,
                      cost_from_frequencies, frequencies_from_sequence)
-from lazybst.optimize import _tree_from_root_table
+from lazybst.model import tree_from_splits
 
 
 def random_tree(rng: random.Random, n: int) -> StaticTree:
@@ -184,6 +185,44 @@ def exact_weight_inequality_holds(t: StaticTree, dist: np.ndarray) -> bool:
     return True
 
 
+def validate_tree_inorder(t: StaticTree) -> bool:
+    """Reference for validate_tree by an in-order walk: a well-formed BST
+    over 1..n visits exactly 1, 2, ..., n."""
+    n = t.n
+    if n < 1 or not (1 <= t.root <= n):
+        return False
+    for tab in (t.left, t.right, t.depth, t.parent):
+        if len(tab) != n + 1:
+            return False
+    if any(not (0 <= t.left[k] <= n) or not (0 <= t.right[k] <= n)
+           for k in range(1, n + 1)):
+        return False
+    # Bail out if a key shows up twice or more than n nodes do (cycle).
+    seen = [False] * (n + 1)
+    order = []
+    stack = []
+    v = t.root
+    while (v != NO_NODE or stack) and len(order) <= n:
+        while v != NO_NODE:
+            if seen[v]:
+                return False
+            seen[v] = True
+            stack.append(v)
+            v = t.left[v]
+        v = stack.pop()
+        order.append(v)
+        v = t.right[v]
+    if order != list(range(1, n + 1)):
+        return False
+    if t.depth[t.root] != 0 or t.parent[t.root] != NO_NODE:
+        return False
+    for k in range(1, n + 1):
+        for c in (t.left[k], t.right[k]):
+            if c != NO_NODE and (t.parent[c] != k or t.depth[c] != t.depth[k] + 1):
+                return False
+    return True
+
+
 def lg(v: float) -> float:
     return math.log2(v)
 
@@ -284,7 +323,7 @@ def optimal_lazy_naive(s: SearchStats) -> OptResult:
                     best_r = r
             cost[a][b] = best
             root[a][b] = best_r
-    tree = _tree_from_root_table(n, lambda a, b: root[a][b])
+    tree = tree_from_splits(n, lambda a, b: root[a][b])
     return OptResult(tree=tree, cost=cost[1][n])
 
 
@@ -307,7 +346,7 @@ def optimal_root_naive(s: SearchStats) -> OptResult:
             k = int(np.argmin(total))
             cost[a, b] = total[k]
             root[a, b] = a + k
-    tree = _tree_from_root_table(n, lambda a, b: int(root[a, b]))
+    tree = tree_from_splits(n, lambda a, b: int(root[a, b]))
     return OptResult(tree=tree, cost=int(cost[1, n]))
 
 

@@ -122,8 +122,18 @@ def test_opt_needs_exactly_one_source(tmp_path, capsys):
 def test_opt_sequence_key_out_of_range_is_semantic(tmp_path, capsys):
     p = tmp_path / "oob.seq"
     p.write_text("3 2\n1 4\n")
-    code, _, _ = run(capsys, "opt", "--method", "lazy", "--seq", str(p))
+    code, _, err = run(capsys, "opt", "--method", "lazy", "--seq", str(p))
     assert code == 3
+    assert "key 4 out of range 1..3" in err
+
+
+def test_opt_freq_counts_disagreeing_with_pairs_is_semantic(tmp_path, capsys):
+    # Search and pair counts each sum right, yet key 1 is searched three
+    # times with one transition touching it; this once gave "cost 0".
+    p = tmp_path / "bad.freq"
+    p.write_text("3 3 1 3\n3 0 0\n1 2 1\n2 3 1\n")
+    code, out, _ = run(capsys, "opt", "--method", "root", "--freq", str(p))
+    assert code == 3 and out == ""
 
 
 def test_eval_lazy_balanced3(tmp_path, capsys):

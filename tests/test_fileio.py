@@ -34,7 +34,7 @@ def test_sequence_errors_classified():
         read_sequence("3 x\n")               # non-integer
     with pytest.raises(MalformedInputError):
         read_sequence("0 0\n")               # empty universe
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=r"key 4 out of range 1\.\.3"):
         read_sequence("3 2\n1 4\n")          # key out of range: semantic
 
 
@@ -109,6 +109,15 @@ def test_freq_errors_classified():
         read_freq("3 3 0 1\n2 1 0\n1 2 1\n2 1 1\n")      # first out of range
     with pytest.raises(InvalidInputError):
         read_freq("3 4 1 1\n2 1 0\n1 2 1\n2 1 1\n")      # sums disagree with m
+    # Both sums agree with m, but key 1 is searched 3 times with no
+    # transition into it after the first search.
+    with pytest.raises(InvalidInputError, match="key 1"):
+        read_freq("3 3 1 3\n3 0 0\n1 2 1\n2 3 1\n")
+    # The sequence 1 3 1 with its last key given as 3: only the
+    # transitions out of key 1 disagree.
+    with pytest.raises(InvalidInputError, match="key 1"):
+        read_freq("3 3 1 3\n2 0 1\n1 3 1\n3 1 1\n")
+    assert read_freq("3 3 1 1\n2 0 1\n1 3 1\n3 1 1\n").searches.tolist() == [0, 2, 0, 1]
 
 
 def test_matrix_round_trip_and_errors():

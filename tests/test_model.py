@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from lazybst import (InvalidInputError, SearchSequence, SearchStats, StaticTree,
                      UsageError, build_balanced, build_tree, validate_tree)
+from lazybst.model import subtree_intervals, tree_from_splits
 from support import (distance_matrix, lca, path_tree, random_tree, step_cost,
-                     vee_tree, walk_step_oracle)
+                     validate_tree_inorder, vee_tree, walk_step_oracle)
 
 
 def test_balanced_small_shapes():
@@ -43,6 +44,71 @@ def test_validate_tree_good_and_bad():
     good = build_balanced(3)
     mangled = StaticTree(3, 2, good.left, good.right, (0, 1, 0, 2), good.parent)
     assert not validate_tree(mangled)
+
+
+class _CountedTable(tuple):
+    """A child table that counts its reads, so a walk that does not end
+    fails the test instead of hanging it."""
+
+    def __getitem__(self, i):
+        self.reads[0] += 1
+        assert self.reads[0] <= 10 * len(self), "walk does not end"
+        return super().__getitem__(i)
+
+
+@st.composite
+def _tree_tables(draw):
+    """Arbitrary StaticTree tables: a random BST whose child slots are
+    then overwritten with keys from 0..n (cycles, shared children and
+    out-of-order keys), with its derived tables kept or redrawn."""
+    n = draw(st.integers(1, 9))
+    base = random_tree(random.Random(draw(st.integers(0, 2 ** 32 - 1))), n)
+    tabs = [list(base.left), list(base.right)]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        tabs[draw(st.integers(0, 1))][draw(st.integers(1, n))] = draw(st.integers(0, n))
+    depth, parent = base.depth, base.parent
+    if draw(st.booleans()):
+        depth = (0,) + tuple(draw(st.lists(st.integers(0, n), min_size=n, max_size=n)))
+        parent = (0,) + tuple(draw(st.lists(st.integers(0, n), min_size=n, max_size=n)))
+    root = draw(st.one_of(st.just(base.root), st.integers(0, n + 1)))
+    reads = [0]
+    left, right = _CountedTable(tabs[0]), _CountedTable(tabs[1])
+    left.reads = right.reads = reads
+    return StaticTree(n, root, left, right, depth, parent)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tree_tables())
+def test_validate_tree_agrees_with_inorder_walk(t):
+    ok = validate_tree(t)
+    assert isinstance(ok, bool)
+    t.left.reads[0] = 0
+    assert ok == validate_tree_inorder(t)
+
+
+def test_tree_from_splits_calls_split_once_per_interval_in_preorder():
+    calls = []
+
+    def lower_median(lo, hi):
+        calls.append((lo, hi))
+        return (lo + hi) // 2
+
+    t = tree_from_splits(7, lower_median)
+    assert calls == [(1, 7), (1, 3), (1, 1), (3, 3), (5, 7), (5, 5), (7, 7)]
+    assert validate_tree(t) and t.root == 4 and t.left[4] == 2 and t.right[4] == 6
+    # Random splits: subtree_intervals reads back each (root, interval)
+    # pair the split chose, in the same preorder.
+    rng = random.Random(7)
+    for n in (1, 2, 5, 30):
+        chosen = []
+
+        def draw(lo, hi):
+            chosen.append((rng.randint(lo, hi), lo, hi))
+            return chosen[-1][0]
+
+        t = tree_from_splits(n, draw)
+        assert validate_tree(t)
+        assert subtree_intervals(t) == chosen
 
 
 def test_build_tree_rejects_broken_structures():
@@ -105,7 +171,7 @@ def test_lca_on_path_tree():
 def test_sequence_validation():
     x = SearchSequence(4, [1, 4, 2])
     assert x.m == 3
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match=r"key 4 out of range 1\.\.3"):
         SearchSequence(3, [1, 4])
     with pytest.raises(InvalidInputError):
         SearchSequence(3, [0])

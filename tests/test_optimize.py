@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lazybst import (GeneratorSpec, SearchSequence, SearchStats, UsageError,
-                     WeightVector, cost_from_frequencies, df_bound, entropy,
+                     WeightVector, build_balanced, cost_from_frequencies, df_bound, entropy,
                      frequencies_from_sequence, generate, mehlhorn_build,
                      optimal_lazy_dp, optimal_root_dp, run_lazy_finger,
                      run_root_finger, treap_build, validate_tree, weights_from_tree)
@@ -172,6 +172,35 @@ def test_tie_break_pins(name):
         assert hashlib.sha256(write_tree(res.tree).encode()).hexdigest() == digest
 
 
+# sha256 of the tree file of each builder, recorded from the per-builder
+# interval loops that model.tree_from_splits replaced.
+PIN_WEIGHTS = {"pi": [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7], "flat": [1] * 16}
+BUILDER_PINS = {
+    "balanced-1": "6e1e9445fd0bd0736d00d1cafb78d3c101ae577a258c5178efd9e8909f20ddb8",
+    "balanced-2": "5e3fdea3fc24e80c50e17b40d3345119f1da2d782e1cee103194f4dcc856c8a4",
+    "balanced-7": "3500d5122ebc6931d55b604fe83ba96ff72147be9f9cabc5d9f434daa0fa0877",
+    "balanced-100": "d9e01871152ab1efccdf849d49c025f83a14d32273f0d1bb7a6fffcb282a238e",
+    "mehlhorn-pi": "407349274fb488e7f7450d0c60d8325f0a7787686e3aed7e523ae3743f226333",
+    "mehlhorn-flat": "d55c73acdeebf37cc8ae897514e9a4b521fa91c1ba4724112ccbb6c5dd1c9f05",
+    "treap-pi-0": "92d3cd0be4c2c93a961379c65bcd548d0e9faa66e03008a0ef6bdb90ef179a29",
+    "treap-pi-1": "2e7053d574d15695733b3d85c47714256113bac11d537fa8bc90dad2b70d2981",
+    "treap-flat-0": "810490cb4e7288f1df029976ba1769e234bdbb0b87a3a5da1a310cb4ac5ad864",
+    "treap-flat-1": "fe2fd40072bc8f7214b148a7a6a325563bb84273b8087d6ba0c7307af8344b20",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_PINS))
+def test_builder_pins(name):
+    kind, arg, *seed = name.split("-")
+    if kind == "balanced":
+        t = build_balanced(int(arg))
+    elif kind == "mehlhorn":
+        t = mehlhorn_build(WeightVector.from_values(PIN_WEIGHTS[arg]))
+    else:
+        t = treap_build(WeightVector.from_values(PIN_WEIGHTS[arg]), int(seed[0]))
+    assert hashlib.sha256(write_tree(t).encode()).hexdigest() == BUILDER_PINS[name]
+
+
 def test_mehlhorn_worked_examples():
     assert mehlhorn_build(WeightVector.from_values([1, 1, 1])).root == 2
     assert mehlhorn_build(WeightVector.from_values([3.5])).n == 1
@@ -200,7 +229,9 @@ def test_treap_determinism_and_validity():
     assert write_tree(a) == write_tree(b)
     assert validate_tree(a)
     assert treap_build(WeightVector.from_values([7.0]), 5).n == 1
-    assert treap_build(w, 100) != a or True  # different seed may differ; no crash
+    others = [treap_build(w, seed) for seed in range(100, 108)]
+    assert all(validate_tree(t) for t in others)
+    assert len({write_tree(t) for t in others}) > 1  # the seed matters
 
 
 def test_treap_heavy_root_statistics():
