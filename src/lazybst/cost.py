@@ -6,11 +6,10 @@ ended, so search i costs the path length between x_{i-1} and x_i; only
 the first search descends from the root.  Both are exact integer edge
 counts, never floats.
 
-A transition crosses the edge above node v exactly when one of its
-endpoints lies in subtree(v), a key interval.  So the transition cost is
-the sum of ``cut_table`` (transitions with exactly one endpoint in the
-interval) over the subtree intervals that ``model.subtree_intervals``
-lists for the non-root nodes.
+Every lazy cost here comes from ``path_lengths``: in a BST the lowest
+common ancestor of keys a <= b is the shallowest key in a..b, so the
+path between them has ``depth[a] + depth[b] - 2 min(depth[a..b])``
+edges.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import NO_NODE, SearchSequence, SearchStats, StaticTree, subtree_intervals
+from .model import SearchSequence, SearchStats, StaticTree, subtree_intervals
 
 
 @dataclass(frozen=True)
@@ -43,6 +42,31 @@ def _report(transition: int, descent: int, m: int) -> CostReport:
     return CostReport(transition, descent, total, avg)
 
 
+def path_lengths(t: StaticTree, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Edges on the tree path between keys ``a[i]`` and ``b[i]``.
+
+    The shallowest key in lo..hi is read from a sparse table over depth
+    in key order, whose row j holds the minimum of each run of 2^j keys:
+    two overlapping runs of 2^k keys cover lo..hi.
+    """
+    if subtree_intervals(t) is None:
+        raise InvalidInputError("tree breaks the search order; not a valid BST")
+    depth = np.asarray(t.depth, dtype=np.int64)
+    runs = np.empty((t.n.bit_length(), t.n + 1), dtype=np.int64)
+    runs[0] = depth
+    for j in range(1, len(runs)):
+        h = 1 << (j - 1)
+        runs[j] = runs[j - 1]
+        np.minimum(runs[j - 1, :-h], runs[j - 1, h:], out=runs[j, :-h])
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    k = np.frexp(hi - lo + 1)[1] - 1        # floor(lg(hi - lo + 1))
+    top = np.minimum(runs[k, lo], runs[k, hi + 1 - (1 << k)])
+    return depth[a] + depth[b] - 2 * top
+
+
 def run_root_finger(t: StaticTree, x: SearchSequence) -> CostReport:
     """Total root-finger cost: sum of depths of the searched keys."""
     _check_universe(t.n, x.n)
@@ -54,74 +78,21 @@ def run_root_finger(t: StaticTree, x: SearchSequence) -> CostReport:
 
 
 def run_lazy_finger(t: StaticTree, x: SearchSequence) -> CostReport:
-    """Simulate a lazy-finger pass with an explicit cursor.
-
-    The cursor climbs to the LCA via the parent table, then descends by
-    key comparisons; every edge crossed is counted.  The initial descent
-    from the root to x_1 is reported separately from the transition cost.
-    """
+    """Lazy-finger cost: the path lengths between consecutive searches,
+    with the initial descent from the root to x_1 reported separately."""
     _check_universe(t.n, x.n)
     if x.m == 0:
         return _report(0, 0, 0)
-    items = x.items.tolist()
-    parent = t.parent
-    left = t.left
-    right = t.right
-    depth = t.depth
-
-    def descend(cur: int, target: int) -> int:
-        edges = 0
-        while cur != target:
-            cur = left[cur] if target < cur else right[cur]
-            if cur == NO_NODE:
-                raise InvalidInputError("search fell off the tree; not a valid BST")
-            edges += 1
-        return edges
-
-    descent = descend(t.root, items[0])
-    transition = 0
-    cur = items[0]
-    for target in items[1:]:
-        i, j = cur, target
-        while depth[i] > depth[j]:
-            i = parent[i]
-        while depth[j] > depth[i]:
-            j = parent[j]
-        while i != j:
-            i = parent[i]
-            j = parent[j]
-        transition += (depth[cur] - depth[i]) + descend(i, target)
-        cur = target
-    return _report(transition, descent, x.m)
-
-
-def cut_table(s: SearchStats) -> np.ndarray:
-    """``cut[i, j]`` (0 <= i <= j <= n): transitions with exactly one
-    endpoint in the key interval i+1..j; entries with i > j are junk.
-
-    With ``g = pair + pair^T`` and P its 2D prefix sums, the cut is the
-    row total of g over the interval minus g summed over the square
-    interval x interval.
-    """
-    n = s.n
-    g = s.pair[1:, 1:] + s.pair[1:, 1:].T
-    P = np.zeros((n + 1, n + 1), dtype=np.int64)
-    P[1:, 1:] = g.cumsum(axis=0).cumsum(axis=1)
-    rows = P[:, n]                 # rows[i] = sum of g over rows 1..i
-    d = np.diagonal(P)             # d[i] = sum of g over (1..i) x (1..i)
-    return rows[None, :] - rows[:, None] - (d[None, :] + d[:, None] - 2 * P)
+    steps = path_lengths(t, x.items[:-1], x.items[1:])
+    return _report(int(steps.sum()), t.depth[x.items[0]], x.m)
 
 
 def cost_from_frequencies(t: StaticTree, s: SearchStats) -> int:
     """Lazy transition cost from a pair-count table: sum of
-    pair(a, b) * pathlen(a, b) over all ordered pairs, computed as the
-    sum of cut over the subtree intervals of the non-root nodes."""
+    pair(a, b) * pathlen(a, b) over the keys a, b in 1..n (row and
+    column 0 are padding)."""
     _check_universe(t.n, s.n)
     if s.pair.shape != (t.n + 1, t.n + 1):
         raise InvalidInputError("pair table has the wrong shape")
-    nodes = subtree_intervals(t)
-    if nodes is None:
-        raise InvalidInputError("tree breaks the search order; not a valid BST")
-    _, lo, hi = np.array(nodes, dtype=np.int64).T
-    # The root's interval is 1..n, whose cut is 0.
-    return int(cut_table(s)[lo - 1, hi].sum())
+    a, b = np.nonzero(s.pair[1:, 1:])
+    return int((s.pair[a + 1, b + 1] * path_lengths(t, a + 1, b + 1)).sum())

@@ -19,9 +19,21 @@ from .model import SearchSequence, SearchStats, StaticTree, build_tree, validate
 
 def _int(tok: str, what: str) -> int:
     try:
-        return int(tok)
+        v = int(tok)
     except ValueError:
         raise MalformedInputError(f"{what}: not an integer: {tok!r}") from None
+    if -2**63 <= v < 2**63:
+        return v
+    raise MalformedInputError(f"{what}: outside the 64-bit integer range: {tok!r}")
+
+
+def _ints(toks: list[str], what: str) -> np.ndarray:
+    """The tokens as int64 in one numpy parse, which accepts the same
+    tokens as int(); on failure the per-token parse names the bad one."""
+    try:
+        return np.array(toks, dtype=np.int64)
+    except (ValueError, OverflowError):
+        return np.array([_int(t, what) for t in toks], dtype=np.int64)
 
 
 def _float(tok: str, what: str) -> float:
@@ -55,8 +67,7 @@ def read_sequence(text: str) -> SearchSequence:
         raise MalformedInputError("sequence file: m must be >= 0")
     if len(toks) != 2 + m:
         raise MalformedInputError(f"sequence file: expected {m} items, found {len(toks) - 2}")
-    items = [_int(t, "sequence item") for t in toks[2:]]
-    return SearchSequence(n, np.asarray(items, dtype=np.int64))
+    return SearchSequence(n, _ints(toks[2:], "sequence item"))
 
 
 # -- tree -------------------------------------------------------------------
@@ -151,25 +162,22 @@ def read_freq(text: str) -> SearchStats:
     if len(rest) % 3:
         raise MalformedInputError("frequency file: pair lines must have 3 entries")
     searches = np.zeros(n + 1, dtype=np.int64)
-    for k in range(1, n + 1):
-        c = _int(toks[3 + k], "search count")
-        if c < 0:
-            raise MalformedInputError("frequency file: negative search count")
-        searches[k] = c
+    searches[1:] = _ints(toks[4:4 + n], "search count")
+    if (searches < 0).any():
+        raise MalformedInputError("frequency file: negative search count")
+    a = _ints(rest[0::3], "pair key")
+    b = _ints(rest[1::3], "pair key")
+    c = _ints(rest[2::3], "pair count")
+    if (c < 0).any():
+        raise MalformedInputError("frequency file: negative pair count")
+    bad = np.nonzero((a < 1) | (a > n) | (b < 1) | (b > n))[0]
+    if bad.size:
+        raise MalformedInputError("frequency file: key out of range in pair "
+                                  f"({a[bad[0]]}, {b[bad[0]]})")
+    if (np.diff(a * (n + 1) + b) <= 0).any():
+        raise MalformedInputError("frequency file: pair lines out of order")
     pair = np.zeros((n + 1, n + 1), dtype=np.int64)
-    prev = (0, 0)
-    for i in range(0, len(rest), 3):
-        a = _int(rest[i], "pair key")
-        b = _int(rest[i + 1], "pair key")
-        c = _int(rest[i + 2], "pair count")
-        if c < 0:
-            raise MalformedInputError("frequency file: negative pair count")
-        if not (1 <= a <= n) or not (1 <= b <= n):
-            raise MalformedInputError(f"frequency file: key out of range in pair ({a}, {b})")
-        if (a, b) <= prev:
-            raise MalformedInputError("frequency file: pair lines out of order")
-        prev = (a, b)
-        pair[a, b] = c
+    pair[a, b] = c
     for name, v in (("first", first), ("last", last)):
         if m == 0 and v != 0:
             raise MalformedInputError(f"frequency file: {name} must be 0 when m = 0")

@@ -2,14 +2,16 @@
 
 Both exact optimizers run one interval dynamic program, ``_interval_dp``:
 a tree's cost in either model is the sum, over its non-root nodes v, of
-a weight of the key interval subtree(v), namely ``cut`` for the lazy
-finger (see ``cost``) and the search count for the root finger.  The
-kernel does O(n^3) work on vectorized diagonals.  For the root model
-that trades the O(n^2) monotone-root-window scan for one code path: on
-a 2-vCPU machine it was faster up to n=1024 (0.52 s against 0.69 s) and
-about 10% slower at n=2048 (5.4 s against 5.0 s).  All tie-breaks
-prefer the smallest root per interval, which makes every optimizer
-deterministic.
+a weight of the key interval subtree(v).  For the lazy finger that
+weight is ``cut_table``, the transitions with exactly one endpoint in
+the interval, since a transition crosses the edge above v exactly when
+one of its endpoints lies in subtree(v); for the root finger it is the
+search count.  The kernel does O(n^3) work on vectorized diagonals.
+For the root model that trades the O(n^2) monotone-root-window scan for
+one code path: on a 2-vCPU machine it was faster up to n=1024 (0.52 s
+against 0.69 s) and about 10% slower at n=2048 (5.4 s against 5.0 s).
+All tie-breaks prefer the smallest root per interval, which makes every
+optimizer deterministic.
 
 Every builder here only picks a root per key interval; the tree itself
 comes from ``model.tree_from_splits``.
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import cut_table
 from .entropy import WeightVector
 from .model import SearchStats, StaticTree, tree_from_splits
 
@@ -61,6 +62,23 @@ def _interval_dp(n: int, weight: np.ndarray) -> OptResult:
         E[ln:n + 1, n - ln] = G
     tree = tree_from_splits(n, lambda a, b: a + int(root[a, b - a + 1]))
     return OptResult(tree=tree, cost=int(cost[0]))
+
+
+def cut_table(s: SearchStats) -> np.ndarray:
+    """``cut[i, j]`` (0 <= i <= j <= n): transitions with exactly one
+    endpoint in the key interval i+1..j; entries with i > j are junk.
+
+    With ``g = pair + pair^T`` and P its 2D prefix sums, the cut is the
+    row total of g over the interval minus g summed over the square
+    interval x interval.
+    """
+    n = s.n
+    g = s.pair[1:, 1:] + s.pair[1:, 1:].T
+    P = np.zeros((n + 1, n + 1), dtype=np.int64)
+    P[1:, 1:] = g.cumsum(axis=0).cumsum(axis=1)
+    rows = P[:, n]                 # rows[i] = sum of g over rows 1..i
+    d = np.diagonal(P)             # d[i] = sum of g over (1..i) x (1..i)
+    return rows[None, :] - rows[:, None] - (d[None, :] + d[:, None] - 2 * P)
 
 
 def optimal_lazy_dp(s: SearchStats) -> OptResult:

@@ -78,7 +78,7 @@ def test_criterion_2_recurrence_vs_simulation(walk_corpus):
             violations.append((t.n, x.m, walk.total_with_root_start, closed))
         if walk.transition_cost != counted:
             violations.append((t.n, x.m, walk.transition_cost, counted))
-    report(2, "cursor walk = closed form = pair-count cost", violations)
+    report(2, "lazy evaluator = closed form = pair-count cost", violations)
 
 
 def test_criterion_3_depth_weight_inequality():

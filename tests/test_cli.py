@@ -83,6 +83,13 @@ def test_non_utf8_input_is_malformed(tmp_path, capsys):
         assert code == 2 and err.startswith("error: ")
 
 
+def test_sequence_item_beyond_64_bits_is_malformed(tmp_path, capsys):
+    path = tmp_path / "x.seq"
+    path.write_text("3 2\n1 99999999999999999999\n")
+    code, _, err = run(capsys, "stats", "--seq", str(path))
+    assert code == 2 and err.startswith("error: ")
+
+
 def test_opt_lazy_alternating_freq(tmp_path, capsys):
     seq = seq_file(tmp_path, "x.seq", 3, [1, 3] * 5 + [1])  # pair(1,3)=pair(3,1)=5
     freq = tmp_path / "x.freq"

@@ -7,7 +7,8 @@ import pytest
 from lazybst import (InvalidInputError, SearchSequence, SearchStats,
                      build_balanced, build_tree, cost_from_frequencies,
                      frequencies_from_sequence, run_lazy_finger, run_root_finger)
-from support import closed_form_lazy_total, random_sequence, random_tree, step_cost
+from support import (caterpillar_tree, closed_form_lazy_total, path_tree, random_sequence,
+                     random_tree, step_cost, vee_tree)
 
 
 def test_root_finger_worked_examples():
@@ -43,6 +44,12 @@ def test_cost_from_frequencies_worked_examples():
     assert cost_from_frequencies(build_balanced(3), s) == 20
     zero = SearchStats.from_pair_counts(3, np.zeros((4, 4), dtype=np.int64))
     assert cost_from_frequencies(bent, zero) == 0
+    # Row and column 0 are padding: only 3 * pathlen(2, 5) + 2 * pathlen(4, 1) counts.
+    pair = np.zeros((6, 6), dtype=np.int64)
+    pair[2, 5] = 3
+    pair[4, 1] = 2
+    pair[0, 0] = pair[0, 4] = pair[3, 0] = 1
+    assert cost_from_frequencies(build_balanced(5), SearchStats.from_pair_counts(5, pair)) == 14
 
 
 def test_cost_from_frequencies_rejects_non_bst():
@@ -51,6 +58,9 @@ def test_cost_from_frequencies_rejects_non_bst():
     s = SearchStats.from_pair_counts(3, np.ones((4, 4), dtype=np.int64))
     with pytest.raises(InvalidInputError):
         cost_from_frequencies(bad, s)
+    # Neither search falls off this tree, but the tree is still no BST.
+    with pytest.raises(InvalidInputError):
+        run_lazy_finger(bad, SearchSequence(3, [3, 1]))
 
 
 def test_universe_mismatch_errors():
@@ -75,10 +85,17 @@ def test_report_ordering_invariant():
 
 def test_simulation_equals_stepcost_sum_and_closed_form():
     rng = random.Random(99)
+    cases = []
     for _ in range(40):
         n = rng.randint(1, 40)
         t = random_tree(rng, n)
-        x = random_sequence(rng, n, rng.randint(1, 80))
+        cases.append((t, random_sequence(rng, n, rng.randint(1, 80))))
+    shapes = (path_tree, lambda n: path_tree(n, ascending=False), vee_tree,
+              caterpillar_tree, build_balanced)
+    for n in (64, 65, 129, 700):
+        for shape in shapes:
+            cases.append((shape(n), random_sequence(rng, n, rng.randint(1, 80))))
+    for t, x in cases:
         rep = run_lazy_finger(t, x)
         items = x.items.tolist()
         pairwise = sum(step_cost(t, a, b) for a, b in zip(items, items[1:]))

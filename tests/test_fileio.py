@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lazybst import (InvalidInputError, MalformedInputError, SearchSequence,
+from lazybst import (InvalidInputError, MalformedInputError, SearchSequence, ToolError,
                      WeightVector, build_balanced, frequencies_from_sequence,
                      weights_from_tree)
 from lazybst.fileio import (read_freq, read_matrix, read_sequence, read_tree,
@@ -36,6 +36,8 @@ def test_sequence_errors_classified():
         read_sequence("0 0\n")               # empty universe
     with pytest.raises(InvalidInputError, match=r"key 4 out of range 1\.\.3"):
         read_sequence("3 2\n1 4\n")          # key out of range: semantic
+    with pytest.raises(MalformedInputError, match="99999999999999999999"):
+        read_sequence("3 2\n1 99999999999999999999\n")   # beyond 64 bits
 
 
 def test_tree_round_trip_and_layout():
@@ -109,6 +111,10 @@ def test_freq_errors_classified():
         read_freq("3 3 0 1\n2 1 0\n1 2 1\n2 1 1\n")      # first out of range
     with pytest.raises(InvalidInputError):
         read_freq("3 4 1 1\n2 1 0\n1 2 1\n2 1 1\n")      # sums disagree with m
+    with pytest.raises(MalformedInputError, match="search count"):
+        read_freq("3 3 1 1\n99999999999999999999 1 0\n1 2 1\n2 1 1\n")
+    with pytest.raises(MalformedInputError, match="pair count"):
+        read_freq("3 3 1 1\n2 1 0\n1 2 99999999999999999999\n2 1 1\n")
     # Both sums agree with m, but key 1 is searched 3 times with no
     # transition into it after the first search.
     with pytest.raises(InvalidInputError, match="key 1"):
@@ -144,3 +150,38 @@ def test_random_round_trips_are_byte_stable(n, seed):
     assert write_freq(read_freq(write_freq(s))) == write_freq(s)
     w = weights_from_tree(t)
     assert write_weights(read_weights(write_weights(w))) == write_weights(w)
+
+
+# Integers of any size (64-bit edges included), float text and short
+# garbage; small integers make plausible headers.
+_TOKEN = st.one_of(
+    st.integers(-1, 6).map(str),
+    st.integers().map(str),
+    st.builds(lambda v, sign: str(sign * v), st.integers(2 ** 63 - 2, 2 ** 64),
+              st.sampled_from((1, -1))),
+    st.floats().map(repr),
+    st.text(st.characters(exclude_categories=("Z", "C")), min_size=1, max_size=3),
+)
+_VALID = {
+    read_sequence: write_sequence(SearchSequence(3, [1, 3, 2, 3])),
+    read_tree: write_tree(build_balanced(4)),
+    read_weights: write_weights(WeightVector.from_values([1.0, 2.0, 0.5])),
+    read_freq: write_freq(frequencies_from_sequence(SearchSequence(3, [1, 3, 2, 3]))),
+    read_matrix: write_matrix(np.array([[0.25, 0.75], [0.5, 0.5]])),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_readers_return_or_raise_tool_error(data):
+    """Each reader, fed a valid file of its format with a few tokens
+    replaced, or an arbitrary token stream, returns or raises ToolError."""
+    for reader, valid in _VALID.items():
+        toks = valid.split()
+        for i in data.draw(st.lists(st.integers(0, len(toks) - 1), max_size=3)):
+            toks[i] = data.draw(_TOKEN)
+        for stream in (toks, data.draw(st.lists(_TOKEN, max_size=12))):
+            try:
+                reader(" ".join(stream))
+            except ToolError:
+                pass

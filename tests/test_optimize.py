@@ -10,8 +10,8 @@ from lazybst import (GeneratorSpec, SearchSequence, SearchStats, UsageError,
                      frequencies_from_sequence, generate, mehlhorn_build,
                      optimal_lazy_dp, optimal_root_dp, run_lazy_finger,
                      run_root_finger, treap_build, validate_tree, weights_from_tree)
-from lazybst.cost import cut_table
 from lazybst.fileio import write_tree
+from lazybst.optimize import cut_table
 from support import (_all_shapes, enumerate_optimal, optimal_lazy_naive,
                      optimal_root_naive, random_pair_stats, random_sequence,
                      stitch_sequence)
