@@ -14,7 +14,7 @@ from .errors import InvalidInputError, MalformedInputError, ToolError, UsageErro
 from .model import NO_NODE, SearchSequence, SearchStats, StaticTree, build_balanced, \
     build_tree, validate_tree
 from .multitree import MultiTree, SuccessorTree, build_multitree, node_count, probe, \
-    run_multitree, search_costs
+    run_multitree
 from .optimize import OptResult, mehlhorn_build, optimal_lazy_dp, optimal_root_dp, \
     treap_build
 from .seqgen import GeneratorSpec, frequencies_from_sequence, generate
@@ -28,6 +28,5 @@ __all__ = [
     "build_balanced", "build_multitree", "build_tree", "conditional_entropy",
     "cost_from_frequencies", "df_bound", "entropy", "frequencies_from_sequence",
     "generate", "mehlhorn_build", "node_count", "optimal_lazy_dp", "optimal_root_dp",
-    "probe", "run_lazy_finger", "run_multitree", "run_root_finger", "search_costs",
-    "treap_build", "validate_tree", "weights_from_tree",
+    "probe", "run_lazy_finger", "run_multitree", "run_root_finger", "treap_build", "validate_tree", "weights_from_tree",
 ]

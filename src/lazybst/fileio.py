@@ -5,7 +5,8 @@ Writers are byte-deterministic: single spaces, ascending key order,
 newline-terminated lines, full-precision floats (shortest round-trip
 repr).  Readers classify failures: structural breakage raises
 MalformedInputError, values that parse but violate the key universe or
-the count identities raise InvalidInputError.
+the count identities raise InvalidInputError, and a count table over the
+memory budget raises UsageError.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import numpy as np
 
 from .errors import InvalidInputError, MalformedInputError
 from .entropy import WeightVector
-from .model import SearchSequence, SearchStats, StaticTree, build_tree, validate_tree
+from .model import SearchSequence, SearchStats, StaticTree, build_tree, check_memory, \
+    validate_tree
 
 
 def _int(tok: str, what: str) -> int:
@@ -147,6 +149,13 @@ def write_freq(s: SearchStats) -> str:
 
 
 def read_freq(text: str) -> SearchStats:
+    """Parse a count table and check it against the sequence identities.
+
+    Totals are compared in Python integers, so counts that would wrap in
+    int64 are rejected rather than summed.  Tables with 4 n m >= 2^63 are
+    rejected too (InvalidInputError): below that bound every path-length
+    sum, cut weight and DP intermediate fits in int64.
+    """
     toks = _tokens(text, "frequency file", 4)
     n = _int(toks[0], "frequency file n")
     m = _int(toks[1], "frequency file m")
@@ -176,18 +185,25 @@ def read_freq(text: str) -> SearchStats:
                                   f"({a[bad[0]]}, {b[bad[0]]})")
     if (np.diff(a * (n + 1) + b) <= 0).any():
         raise MalformedInputError("frequency file: pair lines out of order")
-    pair = np.zeros((n + 1, n + 1), dtype=np.int64)
-    pair[a, b] = c
     for name, v in (("first", first), ("last", last)):
         if m == 0 and v != 0:
             raise MalformedInputError(f"frequency file: {name} must be 0 when m = 0")
         if m > 0 and not (1 <= v <= n):
             raise MalformedInputError(f"frequency file: {name} out of range 1..{n}")
-    if int(searches.sum()) != m:
+    # Python sums: every count is nonnegative, so once both totals are
+    # at most m no partial sum below can wrap.
+    if sum(searches.tolist()) != m:
         raise InvalidInputError("frequency file: search counts do not sum to m")
+    if sum(c.tolist()) != max(m - 1, 0):
+        raise InvalidInputError("frequency file: pair counts do not sum to m - 1")
+    if 4 * n * m >= 2**63:
+        raise InvalidInputError(f"frequency file: n={n}, m={m} too large for "
+                                "exact 64-bit costs (needs 4 n m < 2^63)")
+    check_memory(n, 8 * (n + 1) ** 2, "count table")
+    pair = np.zeros((n + 1, n + 1), dtype=np.int64)
+    pair[a, b] = c
     # Each search of a key ends a transition into it or is the first
-    # search, and starts a transition out of it or is the last; summed
-    # over keys this also makes the pair counts total m - 1.
+    # search, and starts a transition out of it or is the last.
     into = pair.sum(axis=0)
     into[first] += 1
     out = pair.sum(axis=1)

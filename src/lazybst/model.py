@@ -8,6 +8,10 @@ on-disk formats, so nothing ever translates between representations.
 Every subtree of a BST is a key interval, so a tree is a choice of root
 per interval: ``tree_from_splits`` turns such a choice into a tree and
 ``subtree_intervals`` reads the intervals back out of one.
+
+Every dense table whose size grows with n (count tables, DP tables, the
+default markov matrix) is first checked against one memory budget,
+``MEMORY_BUDGET``, by ``check_memory``.
 """
 
 from __future__ import annotations
@@ -20,6 +24,18 @@ import numpy as np
 from .errors import InvalidInputError, UsageError
 
 NO_NODE = 0
+
+# Bytes one dense table set sized by an input n may take; past it a call
+# refuses with UsageError instead of failing inside the allocator.
+MEMORY_BUDGET = 2 * 2**30
+
+
+def check_memory(n: int, nbytes: int, what: str) -> None:
+    """Raise UsageError, before anything is allocated, when ``what`` for
+    n keys needs more than MEMORY_BUDGET bytes."""
+    if nbytes > MEMORY_BUDGET:
+        raise UsageError(f"{what} for n={n} needs {nbytes} bytes, over the "
+                         f"{MEMORY_BUDGET}-byte memory budget")
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,24 @@ edges: after finding x, the next search probes x's successor tree first
 and falls back to a fresh descent of the global tree on a miss.  The
 jump from wherever a probe ends back to a tree root is free, which is
 what makes the comparison model the honest one here.
+
+Like both edge costs, the comparison count depends only on the
+transition counts: a search for b after a always costs the same, so a
+sequence is costed by one probe per distinct transition a -> b, times
+its count, plus the first search's descent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .entropy import WeightVector
 from .errors import InvalidInputError, UsageError
 from .model import NO_NODE, SearchSequence, SearchStats, StaticTree, build_balanced
 from .optimize import mehlhorn_build
+from .seqgen import frequencies_from_sequence
 
 
 @dataclass(frozen=True)
@@ -38,7 +46,6 @@ class MultiTree:
     d: int
     global_tree: StaticTree
     succ: tuple[SuccessorTree, ...]   # index 0 unused
-    links: tuple[int, ...]            # per key: root key of its successor tree, 0 if none
 
 
 def node_count(mt: MultiTree) -> int:
@@ -52,23 +59,19 @@ def build_multitree(s: SearchStats, d: int) -> MultiTree:
     n = s.n
     if not (1 <= d <= n):
         raise UsageError(f"d must be in 1..{n}, got {d}")
-    succ: list[SuccessorTree] = [SuccessorTree((), None)]
-    links = [0]
-    for i in range(1, n + 1):
-        row = s.pair[i]
-        present = [(int(row[j]), j) for j in range(1, n + 1) if row[j] > 0]
-        present.sort(key=lambda cj: (-cj[0], cj[1]))
-        kept = sorted(j for _, j in present[:d])
-        if not kept:
-            succ.append(SuccessorTree((), None))
-            links.append(0)
-            continue
-        weights = [int(row[j]) for j in kept]
-        shape = mehlhorn_build(WeightVector.from_values(weights))
-        succ.append(SuccessorTree(tuple(kept), shape))
-        links.append(kept[shape.root - 1])
-    return MultiTree(n=n, d=d, global_tree=build_balanced(n),
-                     succ=tuple(succ), links=tuple(links))
+    # One nonzero pass in row-major order: each key's successors form one
+    # contiguous run, in ascending key order.
+    pair = s.pair[1:, 1:]
+    rows, cols = np.nonzero(pair > 0)
+    counts = pair[rows, cols]
+    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    succ = [SuccessorTree((), None)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        keep = np.sort(lo + np.lexsort((cols[lo:hi], -counts[lo:hi]))[:d])
+        shape = (mehlhorn_build(WeightVector.from_values(counts[keep].tolist()))
+                 if keep.size else None)
+        succ.append(SuccessorTree(tuple((cols[keep] + 1).tolist()), shape))
+    return MultiTree(n=n, d=d, global_tree=build_balanced(n), succ=tuple(succ))
 
 
 def probe(st: SuccessorTree, target: int) -> tuple[bool, int]:
@@ -88,26 +91,19 @@ def probe(st: SuccessorTree, target: int) -> tuple[bool, int]:
     return False, comparisons
 
 
-def search_costs(mt: MultiTree, x: SearchSequence) -> list[int]:
-    """Per-search comparison counts for a full pass over the sequence."""
+def run_multitree(mt: MultiTree, x: SearchSequence) -> int:
+    """Total comparisons for the sequence: the first search descends the
+    global tree, and each transition a -> b probes a's successor tree,
+    descending the global tree again on a miss."""
     if mt.n != x.n:
         raise InvalidInputError(f"universe mismatch: structure n={mt.n}, input n={x.n}")
+    if x.m == 0:
+        return 0
     gdepth = mt.global_tree.depth
-    costs = []
-    prev = 0
-    for target in x.items.tolist():
-        if prev == 0:
-            costs.append(gdepth[target] + 1)
-        else:
-            hit, comparisons = probe(mt.succ[prev], target)
-            if hit:
-                costs.append(comparisons)
-            else:
-                costs.append(comparisons + gdepth[target] + 1)
-        prev = target
-    return costs
-
-
-def run_multitree(mt: MultiTree, x: SearchSequence) -> int:
-    """Total comparisons for the sequence."""
-    return sum(search_costs(mt, x))
+    pair = frequencies_from_sequence(x).pair
+    rows, cols = np.nonzero(pair)
+    total = gdepth[int(x.items[0])] + 1
+    for a, b, count in zip(rows.tolist(), cols.tolist(), pair[rows, cols].tolist()):
+        hit, comparisons = probe(mt.succ[a], b)
+        total += count * (comparisons if hit else comparisons + gdepth[b] + 1)
+    return total

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import WeightVector
-from .model import SearchStats, StaticTree, tree_from_splits
+from .model import SearchStats, StaticTree, check_memory, tree_from_splits
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,8 @@ def _interval_dp(n: int, weight: np.ndarray) -> OptResult:
     forward slices; argmin returns the first minimum, i.e. the smallest
     root.
     """
+    # H, E, root and buf: 8 + 8 + 4 + 2 bytes per cell
+    check_memory(n, 22 * (n + 1) ** 2, "interval DP tables")
     H = np.zeros((n + 2, n + 1), dtype=np.int64)     # H[a, len] = G[a, a+len-1]
     E = np.zeros((n + 1, n + 1), dtype=np.int64)     # E[b, n-len] = G[b-len+1, b]
     root = np.zeros((n + 2, n + 1), dtype=np.int32)  # root[a, len] - a
@@ -73,6 +75,8 @@ def cut_table(s: SearchStats) -> np.ndarray:
     interval x interval.
     """
     n = s.n
+    # at most five (n+1)^2 int64 tables alive at once
+    check_memory(n, 40 * (n + 1) ** 2, "cut table")
     g = s.pair[1:, 1:] + s.pair[1:, 1:].T
     P = np.zeros((n + 1, n + 1), dtype=np.int64)
     P[1:, 1:] = g.cumsum(axis=0).cumsum(axis=1)

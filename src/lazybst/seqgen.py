@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .model import SearchSequence, SearchStats
+from .model import SearchSequence, SearchStats, check_memory
 
 KINDS = ("sequential", "bitrev", "rounds", "markov", "uniform")
 RANDOM_KINDS = ("rounds", "markov", "uniform")
@@ -49,6 +49,9 @@ def _tile(cycle: np.ndarray, m: int) -> np.ndarray:
 
 
 def _default_matrix(rng: np.random.Generator, n: int, concentration: float) -> np.ndarray:
+    # The draw, its normalized copy, and generate's cumulative rows and
+    # their Python floats: 48 bytes per cell at the peak.
+    check_memory(n, 48 * n * n, "markov transition matrix")
     # Normalized Gamma rows == Dirichlet rows; one matrix-shaped draw
     # keeps the byte layout of the randomness fixed.
     g = rng.gamma(concentration, 1.0, size=(n, n))
@@ -137,6 +140,7 @@ def frequencies_from_sequence(x: SearchSequence) -> SearchStats:
     n = x.n
     items = x.items
     m = x.m
+    check_memory(n, 8 * (n + 1) ** 2, "count table")
     pair = np.zeros((n + 1, n + 1), dtype=np.int64)
     if m >= 2:
         np.add.at(pair, (items[:-1], items[1:]), 1)

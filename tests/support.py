@@ -1,7 +1,7 @@
-"""Shared helpers for the test suite: random instances, independent
-oracles (tree distances, tree validation, brute-force and exhaustive
-optimizers), and the Eulerian stitcher that turns a count table back
-into a sequence."""
+"""Shared helpers for the test suite: random instances, fixed count
+files, independent oracles (tree distances, tree validation, brute-force
+and exhaustive optimizers, the per-search multitree walk), and the
+Eulerian stitcher that turns a count table back into a sequence."""
 
 from __future__ import annotations
 
@@ -11,10 +11,18 @@ from collections import deque
 
 import numpy as np
 
-from lazybst import (InvalidInputError, NO_NODE, OptResult, SearchSequence,
+from lazybst import (InvalidInputError, MultiTree, NO_NODE, OptResult, SearchSequence,
                      SearchStats, StaticTree, UsageError, build_tree,
-                     cost_from_frequencies, frequencies_from_sequence)
+                     cost_from_frequencies, frequencies_from_sequence, probe)
 from lazybst.model import tree_from_splits
+
+# Count files whose totals wrap in int64 (they pass every identity there),
+# and a valid one whose lazy cost needs more than 64 bits.
+WRAPPING_FREQ = ("3 1 3 3\n9223372036854775807 9223372036854775807 3\n"
+                 "1 2 9223372036854775807\n2 1 9223372036854775807\n3 3 2\n")
+HUGE_FREQ = ("8 4611686018427387905 1 1\n"
+             "2305843009213693953 0 0 0 0 0 0 2305843009213693952\n"
+             "1 8 2305843009213693952\n8 1 2305843009213693952\n")
 
 
 def random_tree(rng: random.Random, n: int) -> StaticTree:
@@ -402,3 +410,23 @@ def enumerate_optimal(s: SearchStats, max_n: int = 10) -> OptResult:
             best_pre = pre_t
             best_shape = tree
     return OptResult(tree=best_shape, cost=best_cost)
+
+
+def search_costs(mt: MultiTree, x: SearchSequence) -> list[int]:
+    """Per-search comparison counts for a full pass over the sequence."""
+    if mt.n != x.n:
+        raise InvalidInputError(f"universe mismatch: structure n={mt.n}, input n={x.n}")
+    gdepth = mt.global_tree.depth
+    costs = []
+    prev = 0
+    for target in x.items.tolist():
+        if prev == 0:
+            costs.append(gdepth[target] + 1)
+        else:
+            hit, comparisons = probe(mt.succ[prev], target)
+            if hit:
+                costs.append(comparisons)
+            else:
+                costs.append(comparisons + gdepth[target] + 1)
+        prev = target
+    return costs

@@ -1,11 +1,14 @@
 """End-to-end subcommand tests driven through main(argv)."""
 
+import hashlib
+
 import pytest
 
 from lazybst import SearchSequence, build_balanced
 from lazybst.cli import main
 from lazybst.fileio import (read_freq, read_tree, read_weights, write_sequence,
                             write_tree, write_weights)
+from support import HUGE_FREQ, WRAPPING_FREQ
 
 
 def run(capsys, *argv):
@@ -143,6 +146,34 @@ def test_opt_freq_counts_disagreeing_with_pairs_is_semantic(tmp_path, capsys):
     assert code == 3 and out == ""
 
 
+def test_opt_freq_costs_beyond_64_bits_are_semantic(tmp_path, capsys):
+    # Both once printed a negative cost with exit 0.
+    for name, text in (("wrap.freq", WRAPPING_FREQ), ("huge.freq", HUGE_FREQ)):
+        p = tmp_path / name
+        p.write_text(text)
+        for method in ("lazy", "root"):
+            code, out, err = run(capsys, "opt", "--method", method, "--freq", str(p))
+            assert code == 3 and out == "" and err.startswith("error: ")
+
+
+def test_universe_over_memory_budget_is_usage_error(tmp_path, capsys):
+    seq = tmp_path / "x.seq"
+    assert run(capsys, "gen", "--kind", "uniform", "--n", "100000", "--m", "2",
+               "--seed", "1", "--out", str(seq))[0] == 0
+    freq = tmp_path / "x.freq"
+    freq.write_text("100000 2 1 2\n1 1" + " 0" * 99998 + "\n1 2 1\n")
+    for argv in (["stats", "--seq", str(seq)],
+                 ["opt", "--method", "lazy", "--seq", str(seq)],
+                 ["opt", "--method", "root", "--seq", str(seq)],
+                 ["opt", "--method", "lazy", "--freq", str(freq)],
+                 ["multitree", "--seq", str(seq), "--d", "1"],
+                 ["gen", "--kind", "markov", "--n", "100000", "--m", "2", "--seed", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "n=100000 needs" in err
+
+
 def test_eval_lazy_balanced3(tmp_path, capsys):
     tree = tmp_path / "b3.tree"
     tree.write_text(write_tree(build_balanced(3)))
@@ -211,6 +242,17 @@ def test_multitree_dump_lists_every_successor_tree(tmp_path, capsys):
     text = dump.read_text()
     read_tree(text[:text.index("T1:")])
     assert "T1: 2" in text and "T2: 3" in text and "T3: 1" in text
+
+    # Total and dump of a fixed markov workload, recorded from the
+    # per-search walk: the count-table sum must reproduce both.
+    seq = tmp_path / "markov.seq"
+    assert run(capsys, "gen", "--kind", "markov", "--n", "64", "--m", "20000",
+               "--seed", "3", "--out", str(seq))[0] == 0
+    code, out, _ = run(capsys, "multitree", "--seq", str(seq), "--d", "16",
+                       "--dump", str(dump))
+    assert code == 0 and grab(out, "total_comparisons") == "74482"
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == \
+        "ec4085225c54366b745d296d1e0d3f8923d8db944f7113d19784df9ae3308d15"
 
 
 def test_compare_table_and_optimality_rows(tmp_path, capsys):

@@ -10,7 +10,7 @@ from lazybst import (InvalidInputError, MalformedInputError, SearchSequence, Too
 from lazybst.fileio import (read_freq, read_matrix, read_sequence, read_tree,
                             read_weights, write_freq, write_matrix, write_sequence,
                             write_tree, write_weights)
-from support import random_sequence, random_tree
+from support import HUGE_FREQ, WRAPPING_FREQ, random_sequence, random_tree
 
 
 def test_sequence_round_trip_and_layout():
@@ -124,6 +124,13 @@ def test_freq_errors_classified():
     with pytest.raises(InvalidInputError, match="key 1"):
         read_freq("3 3 1 3\n2 0 1\n1 3 1\n3 1 1\n")
     assert read_freq("3 3 1 1\n2 0 1\n1 3 1\n3 1 1\n").searches.tolist() == [0, 2, 0, 1]
+    # Counts that wrap in int64 satisfy every identity there; the totals
+    # are checked in Python integers.
+    with pytest.raises(InvalidInputError, match="sum to m"):
+        read_freq(WRAPPING_FREQ)
+    # A valid table whose lazy cost does not fit in 64 bits.
+    with pytest.raises(InvalidInputError, match="too large"):
+        read_freq(HUGE_FREQ)
 
 
 def test_matrix_round_trip_and_errors():

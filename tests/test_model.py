@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from lazybst import (InvalidInputError, SearchSequence, SearchStats, StaticTree,
                      UsageError, build_balanced, build_tree, validate_tree)
-from lazybst.model import subtree_intervals, tree_from_splits
+from lazybst.fileio import read_freq
+from lazybst.model import MEMORY_BUDGET, subtree_intervals, tree_from_splits
+from lazybst.optimize import _interval_dp, cut_table
+from lazybst.seqgen import _default_matrix, frequencies_from_sequence
 from support import (distance_matrix, lca, path_tree, random_tree, step_cost,
                      validate_tree_inorder, vee_tree, walk_step_oracle)
 
@@ -189,3 +193,30 @@ def test_stats_from_pair_counts():
     assert int(s.pair.sum()) == 10
     with pytest.raises(InvalidInputError):
         SearchStats.from_pair_counts(3, -pair)
+
+
+def test_memory_budget_refuses_before_allocating():
+    n = 100_000   # an (n+1)^2 int64 table is 80 GB
+    big = SearchStats(n=n, m=0, pair=np.zeros((1, 1), dtype=np.int64),
+                      searches=np.zeros(1, dtype=np.int64), first=0, last=0)
+    calls = [
+        ("count table", lambda: frequencies_from_sequence(SearchSequence(n, [1, 2]))),
+        ("count table", lambda: read_freq(f"{n} 2 1 2\n1 1" + " 0" * (n - 2) + "\n1 2 1\n")),
+        ("cut table", lambda: cut_table(big)),
+        ("interval DP tables", lambda: _interval_dp(n, None)),
+        ("markov transition matrix",
+         lambda: _default_matrix(np.random.default_rng(0), n, 0.2)),
+    ]
+    for what, call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(UsageError, match=f"{what} for n={n} needs"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the file text and its tokens, nothing of the table's size
+        assert peak < 64 * 2**20, what
+    # n = 2048 passes the count-table and cut-table checks
+    s = frequencies_from_sequence(SearchSequence(2048, [1, 2048, 1]))
+    assert cut_table(s).nbytes < MEMORY_BUDGET

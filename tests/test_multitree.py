@@ -6,9 +6,8 @@ import pytest
 
 from lazybst import (GeneratorSpec, InvalidInputError, SearchSequence, UsageError,
                      build_multitree, conditional_entropy, frequencies_from_sequence,
-                     generate, node_count, probe, run_multitree, search_costs,
-                     validate_tree)
-from support import random_sequence
+                     generate, node_count, probe, run_multitree, validate_tree)
+from support import random_sequence, search_costs
 
 
 def test_build_examples():
@@ -18,7 +17,9 @@ def test_build_examples():
     assert mt.succ[1].members == (2,)
     assert mt.succ[2].members == (1,)
     assert mt.succ[3].members == ()
-    assert mt.links[1] == 2 and mt.links[2] == 1 and mt.links[3] == 0
+    # the root key of each successor tree, 0 if none
+    roots = [st.members[st.shape.root - 1] if st.shape else 0 for st in mt.succ]
+    assert roots[1] == 2 and roots[2] == 1 and roots[3] == 0
     total = run_multitree(mt, x)
     assert total == (mt.global_tree.depth[1] + 1) + (x.m - 1) * 1
 
@@ -141,3 +142,26 @@ def test_miss_bound_example_all_distinct():
     costs = search_costs(mt, x)
     cap = math.ceil(math.log2(4 + 1)) + math.ceil(math.log2(n + 1)) + 1
     assert all(c <= cap for c in costs[1:])
+
+
+def test_count_table_total_equals_per_search_walk():
+    rng = random.Random(5)
+    cases = 0
+    for n in (1, 2, 3, 9, 40):
+        for m in (0, 1, 2, 3, 50, 600):
+            # a few distinct keys leave most keys without a successor tree
+            # and make self-transitions common
+            pool = [rng.randint(1, n) for _ in range(rng.randint(1, 3))]
+            for items in ([rng.randint(1, n) for _ in range(m)],
+                          [rng.choice(pool) for _ in range(m)]):
+                x = SearchSequence(n, items)
+                s = frequencies_from_sequence(x)
+                for d in sorted({1, n, rng.randint(1, n)}):
+                    mt = build_multitree(s, d)
+                    assert run_multitree(mt, x) == sum(search_costs(mt, x))
+                    cases += 1
+    assert cases > 100
+    # a structure built from another sequence: most transitions miss
+    x = SearchSequence(6, [3, 3, 1, 6, 3, 3, 2])
+    mt = build_multitree(frequencies_from_sequence(SearchSequence(6, [1, 2, 3, 1, 2])), 2)
+    assert run_multitree(mt, x) == sum(search_costs(mt, x))
