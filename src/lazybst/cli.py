@@ -43,14 +43,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
 def _read(path: str) -> str:
+    # Files are UTF-8 whatever the locale says.
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise MalformedInputError(f"{path}: not text: {e.reason} at byte {e.start}") from e
 
@@ -176,7 +177,7 @@ def cmd_multitree(args) -> int:
         for i in range(1, mt.n + 1):
             members = " ".join(str(k) for k in mt.succ[i].members)
             lines.append(f"T{i}:" + (f" {members}" if members else "") + "\n")
-        Path(args.dump).write_text("".join(lines))
+        _emit("".join(lines), args.dump)
     return 0
 
 

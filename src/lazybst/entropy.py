@@ -50,7 +50,8 @@ def entropy(s: SearchStats) -> float:
         raise InvalidInputError("entropy needs at least one search")
     counts = np.asarray(s.searches[1:], dtype=np.float64)
     p = counts[counts > 0] / s.m
-    return float(-(p * np.log2(p)).sum())
+    # + 0.0 turns the -0.0 of a single-key sequence into 0.0.
+    return float(-(p * np.log2(p)).sum() + 0.0)
 
 
 def conditional_entropy(s: SearchStats) -> float:

@@ -7,6 +7,13 @@ repr).  Readers classify failures: structural breakage raises
 MalformedInputError, values that parse but violate the key universe or
 the count identities raise InvalidInputError, and a count table over the
 memory budget raises UsageError.
+
+The integer readers (sequence, tree, count table) first try one
+whole-text numpy parse, which takes any text of ASCII digits and the
+separators \t \n \v \f \r and space with no digit run longer than 18.
+Any other text (signs, underscores, non-ASCII digits, the separators
+\x1c-\x1f, longer runs) is split into tokens and parsed token by token,
+which accepts exactly what int() accepts and names the bad token.
 """
 
 from __future__ import annotations
@@ -29,13 +36,44 @@ def _int(tok: str, what: str) -> int:
     raise MalformedInputError(f"{what}: outside the 64-bit integer range: {tok!r}")
 
 
-def _ints(toks: list[str], what: str) -> np.ndarray:
+def _ints(toks, what: str) -> np.ndarray:
     """The tokens as int64 in one numpy parse, which accepts the same
-    tokens as int(); on failure the per-token parse names the bad one."""
+    tokens as int(); on failure the per-token parse names the bad one.
+    Tokens the fast parse already read come back as they are."""
     try:
-        return np.array(toks, dtype=np.int64)
+        return np.asarray(toks, dtype=np.int64)
     except (ValueError, OverflowError):
         return np.array([_int(t, what) for t in toks], dtype=np.int64)
+
+
+# ASCII digits and the separators both str.split() and numpy's text
+# parser accept; every separator sorts below "0".
+_FAST_BYTES = b"0123456789\t\n\v\f\r "
+
+
+def _fast_ints(text: str) -> np.ndarray | None:
+    """Every integer of text as int64 from one numpy pass, or None when
+    the text holds another byte or a digit run numpy could clamp."""
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    if raw.translate(None, _FAST_BYTES):
+        return None
+    digit = np.frombuffer(raw, np.uint8) >= ord("0")
+    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
+    # Runs of at most 18 digits are below 10^18 < 2^63: no value overflows.
+    if edges.size and (edges[1::2] - edges[0::2]).max() > 18:
+        return None
+    vals = np.fromstring(raw, dtype=np.int64, sep=" ")
+    # numpy reads a text of separators alone as [0]: one value per run.
+    return vals if vals.size == edges.size // 2 else None
+
+
+def _split_ints(text: str):
+    """text.split() for a file of integers: already int64 when the fast
+    parse takes the text, else the str tokens."""
+    vals = _fast_ints(text)
+    return text.split() if vals is None else vals
 
 
 def _float(tok: str, what: str) -> float:
@@ -45,8 +83,8 @@ def _float(tok: str, what: str) -> float:
         raise MalformedInputError(f"{what}: not a number: {tok!r}") from None
 
 
-def _tokens(text: str, what: str, at_least: int) -> list[str]:
-    toks = text.split()
+def _tokens(text: str, what: str, at_least: int, split=str.split):
+    toks = split(text)
     if len(toks) < at_least:
         raise MalformedInputError(f"{what}: truncated file")
     return toks
@@ -60,7 +98,7 @@ def write_sequence(x: SearchSequence) -> str:
 
 
 def read_sequence(text: str) -> SearchSequence:
-    toks = _tokens(text, "sequence file", 2)
+    toks = _tokens(text, "sequence file", 2, _split_ints)
     n = _int(toks[0], "sequence file n")
     m = _int(toks[1], "sequence file m")
     if n < 1:
@@ -82,29 +120,28 @@ def write_tree(t: StaticTree) -> str:
 
 
 def read_tree(text: str) -> StaticTree:
-    toks = _tokens(text, "tree file", 2)
+    toks = _tokens(text, "tree file", 2, _split_ints)
     n = _int(toks[0], "tree file n")
     root = _int(toks[1], "tree file root")
     if n < 1:
         raise MalformedInputError("tree file: n must be >= 1")
     if len(toks) != 2 + 3 * n:
         raise MalformedInputError("tree file: wrong number of entries")
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
-    for i in range(n):
-        k = _int(toks[2 + 3 * i], "tree file key")
-        l = _int(toks[3 + 3 * i], "tree file left child")
-        r = _int(toks[4 + 3 * i], "tree file right child")
-        if k != i + 1:
-            raise MalformedInputError(f"tree file: keys must be 1..{n} ascending, got {k}")
-        if not (0 <= l <= n) or not (0 <= r <= n):
-            raise MalformedInputError(f"tree file: child out of range at key {k}")
-        left[k] = l
-        right[k] = r
+    keys = _ints(toks[2::3], "tree file key")
+    left = _ints(toks[3::3], "tree file left child")
+    right = _ints(toks[4::3], "tree file right child")
+    # The first row at fault names the fault, as reading row by row would.
+    bad_key = np.flatnonzero(keys != np.arange(1, n + 1))
+    bad_child = np.flatnonzero((left < 0) | (left > n) | (right < 0) | (right > n))
+    if bad_key.size and not (bad_child.size and bad_child[0] < bad_key[0]):
+        raise MalformedInputError(f"tree file: keys must be 1..{n} ascending, "
+                                  f"got {keys[bad_key[0]]}")
+    if bad_child.size:
+        raise MalformedInputError(f"tree file: child out of range at key {bad_child[0] + 1}")
     if not (1 <= root <= n):
         raise MalformedInputError("tree file: root out of range")
     try:
-        tree = build_tree(n, root, left, right)
+        tree = build_tree(n, root, [0] + left.tolist(), [0] + right.tolist())
     except ValueError as e:
         raise MalformedInputError(f"tree file: {e}") from None
     if not validate_tree(tree):
@@ -156,7 +193,7 @@ def read_freq(text: str) -> SearchStats:
     rejected too (InvalidInputError): below that bound every path-length
     sum, cut weight and DP intermediate fits in int64.
     """
-    toks = _tokens(text, "frequency file", 4)
+    toks = _tokens(text, "frequency file", 4, _split_ints)
     n = _int(toks[0], "frequency file n")
     m = _int(toks[1], "frequency file m")
     first = _int(toks[2], "frequency file first")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -176,7 +177,11 @@ def build_balanced(n: int) -> StaticTree:
 
 @dataclass(frozen=True, eq=False)
 class SearchSequence:
-    """A sequence of m searched keys over the universe 1..n."""
+    """A sequence of m searched keys over the universe 1..n.
+
+    ``items`` is a read-only view, so ``stats``, computed on first use,
+    stays the count table of this sequence.
+    """
 
     n: int
     items: np.ndarray
@@ -184,17 +189,33 @@ class SearchSequence:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidInputError("n must be >= 1")
-        arr = np.asarray(self.items, dtype=np.int64)
+        arr = np.asarray(self.items, dtype=np.int64).view()
         if arr.ndim != 1:
             raise InvalidInputError("items must be one-dimensional")
         if arr.size and (arr.min() < 1 or arr.max() > self.n):
             v = arr[(arr < 1) | (arr > self.n)][0]
             raise InvalidInputError(f"sequence key {v} out of range 1..{self.n}")
+        arr.flags.writeable = False
         object.__setattr__(self, "items", arr)
 
     @property
     def m(self) -> int:
         return int(self.items.size)
+
+    @cached_property
+    def stats(self) -> SearchStats:
+        """Count table of the sequence: per-key totals, consecutive-pair
+        counts, endpoints.  Built once and shared, so its arrays are
+        read-only."""
+        n, items = self.n, self.items
+        check_memory(n, 8 * (n + 1) ** 2, "count table")
+        pair = np.bincount(items[:-1] * (n + 1) + items[1:], minlength=(n + 1) ** 2)
+        pair = pair.astype(np.int64, copy=False).reshape(n + 1, n + 1)
+        searches = np.bincount(items, minlength=n + 1).astype(np.int64, copy=False)
+        pair.flags.writeable = searches.flags.writeable = False
+        m = self.m
+        return SearchStats(n=n, m=m, pair=pair, searches=searches,
+                           first=int(items[0]) if m else 0, last=int(items[-1]) if m else 0)
 
 
 @dataclass(frozen=True, eq=False)

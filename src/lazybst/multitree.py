@@ -23,7 +23,6 @@ from .entropy import WeightVector
 from .errors import InvalidInputError, UsageError
 from .model import NO_NODE, SearchSequence, SearchStats, StaticTree, build_balanced
 from .optimize import mehlhorn_build
-from .seqgen import frequencies_from_sequence
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ def run_multitree(mt: MultiTree, x: SearchSequence) -> int:
     if x.m == 0:
         return 0
     gdepth = mt.global_tree.depth
-    pair = frequencies_from_sequence(x).pair
+    pair = x.stats.pair
     rows, cols = np.nonzero(pair)
     total = gdepth[int(x.items[0])] + 1
     for a, b, count in zip(rows.tolist(), cols.tolist(), pair[rows, cols].tolist()):

@@ -1,4 +1,5 @@
-"""Workload generators and the sequence -> count-table reduction.
+"""Workload generators, and ``frequencies_from_sequence``, the count
+table of a sequence (built once per ``SearchSequence``, see its ``stats``).
 
 All randomized kinds draw from numpy's default_rng seeded with the
 given seed, so a (kind, parameters, seed) triple always reproduces the
@@ -136,15 +137,6 @@ def generate(spec: GeneratorSpec) -> SearchSequence:
 
 
 def frequencies_from_sequence(x: SearchSequence) -> SearchStats:
-    """Count table of x: per-key totals, consecutive-pair counts, endpoints."""
-    n = x.n
-    items = x.items
-    m = x.m
-    check_memory(n, 8 * (n + 1) ** 2, "count table")
-    pair = np.zeros((n + 1, n + 1), dtype=np.int64)
-    if m >= 2:
-        np.add.at(pair, (items[:-1], items[1:]), 1)
-    searches = np.bincount(items, minlength=n + 1).astype(np.int64)
-    first = int(items[0]) if m else 0
-    last = int(items[-1]) if m else 0
-    return SearchStats(n=n, m=m, pair=pair, searches=searches, first=first, last=last)
+    """Count table of x (``x.stats``): per-key totals, consecutive-pair
+    counts, endpoints; built on the first call and shared after it."""
+    return x.stats

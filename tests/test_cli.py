@@ -1,9 +1,14 @@
 """End-to-end subcommand tests driven through main(argv)."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lazybst
 from lazybst import SearchSequence, build_balanced
 from lazybst.cli import main
 from lazybst.fileio import (read_freq, read_tree, read_weights, write_sequence,
@@ -64,6 +69,39 @@ def test_stats_sequential(tmp_path, capsys):
     assert grab(out, "n") == "4" and grab(out, "m") == "8"
     assert grab(out, "H") == "2.000000"
     assert grab(out, "H_c") == "0.000000"
+
+
+def test_single_key_entropy_prints_positive_zero(tmp_path, capsys):
+    path = tmp_path / "x.seq"
+    path.write_text("4 3\n2 2 2\n")
+    code, out, _ = run(capsys, "stats", "--seq", str(path))
+    assert code == 0 and grab(out, "H") == "0.000000"
+    code, out, _ = run(capsys, "compare", "--seq", str(path), "--seed", "1")
+    assert code == 0 and "H=0.000000" in out and "-0.000000" not in out
+
+
+def test_files_are_utf8_under_any_locale(tmp_path):
+    """Under the C locale the default text encoding is ASCII; input files
+    are still read, and --out files written, as UTF-8."""
+    path = tmp_path / "x.seq"
+    path.write_text("1 1\n\u0661\n", encoding="utf-8")   # Arabic-Indic digit one
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(Path(lazybst.__file__).parents[1]))
+    code = "import sys; from lazybst.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = cli("stats", "--seq", str(path))
+    assert done.returncode == 0, done.stderr
+    assert grab(done.stdout, "m") == "1" and grab(done.stdout, "H") == "0.000000"
+    freq = tmp_path / "x.freq"
+    assert cli("freq", "--seq", str(path), "--out", str(freq)).returncode == 0
+    assert freq.read_bytes() == b"1 1 1 1\n1\n"
+    path.write_bytes(b"1 1\n\xff\n")
+    done = cli("stats", "--seq", str(path))
+    assert done.returncode == 2 and "not text" in done.stderr
 
 
 def test_stats_empty_sequence_is_malformed(tmp_path, capsys):

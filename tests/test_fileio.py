@@ -1,4 +1,6 @@
 import random
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lazybst import (InvalidInputError, MalformedInputError, SearchSequence, ToolError,
                      WeightVector, build_balanced, frequencies_from_sequence,
                      weights_from_tree)
+from lazybst import fileio
 from lazybst.fileio import (read_freq, read_matrix, read_sequence, read_tree,
                             read_weights, write_freq, write_matrix, write_sequence,
                             write_tree, write_weights)
@@ -49,16 +52,22 @@ def test_tree_round_trip_and_layout():
 
 
 def test_tree_errors():
-    with pytest.raises(MalformedInputError):
-        read_tree("2 1\n1 0 0\n")            # missing row
-    with pytest.raises(MalformedInputError):
-        read_tree("2 1\n2 0 0\n1 0 2\n")     # keys out of order
-    with pytest.raises(MalformedInputError):
-        read_tree("2 3\n1 0 2\n2 0 0\n")     # root out of range
-    with pytest.raises(MalformedInputError):
-        read_tree("2 1\n1 0 2\n2 0 1\n")     # cycle
-    with pytest.raises(MalformedInputError):
-        read_tree("3 2\n1 0 0\n2 3 1\n3 0 0\n")  # left child key above root
+    cases = (
+        ("2 1\n1 0 0\n", "wrong number of entries"),                 # missing row
+        ("2 1\n2 0 0\n1 0 2\n", "keys must be 1..2 ascending, got 2"),
+        ("2 3\n1 0 2\n2 0 0\n", "root out of range"),
+        ("2 1\n1 0 3\n2 0 0\n", "child out of range at key 1"),
+        ("2 1\n1 0 2\n2 0 1\n", "key 1 reached twice"),             # cycle
+        ("3 2\n1 0 0\n2 3 1\n3 0 0\n", "not a valid binary search tree"),
+        # Several faults: the first row at fault names its fault.
+        ("3 2\n1 0 9\n5 0 0\n3 0 0\n", "child out of range at key 1"),
+        ("3 2\n1 0 0\n5 0 9\n3 0 0\n", "keys must be 1..3 ascending, got 5"),
+        ("2 1\n1 0 x\n2 0 0\n", "right child: not an integer: 'x'"),
+        ("2 1\n1 0 99999999999999999999\n2 0 0\n", "outside the 64-bit"),
+    )
+    for text, message in cases:
+        with pytest.raises(MalformedInputError, match=f"^tree file.*{re.escape(message)}"):
+            read_tree(text)
 
 
 def test_weights_round_trip_full_precision():
@@ -192,3 +201,67 @@ def test_readers_return_or_raise_tool_error(data):
                 reader(" ".join(stream))
             except ToolError:
                 pass
+
+
+def test_fast_parse_pins():
+    assert fileio._fast_ints("").tolist() == []
+    assert fileio._fast_ints("  ") is None          # numpy reads this as [0]
+    assert fileio._fast_ints("1 0").tolist() == [1, 0]
+    assert fileio._fast_ints("1 0\n").tolist() == [1, 0]
+    assert fileio._fast_ints(" 007\t\v\f\r8\n").tolist() == [7, 8]
+    assert fileio._fast_ints("9" * 18).tolist() == [10 ** 18 - 1]
+    for declined in ("9" * 19, "1\x1c2", "+7", "1_0", "\u0663", "1.0"):
+        assert fileio._fast_ints(declined) is None
+    with pytest.raises(MalformedInputError, match="truncated"):
+        read_sequence("  ")
+    assert read_sequence("1 0").m == 0 and read_sequence("1 0\n").m == 0
+
+
+def _outcome(reader, text):
+    try:
+        r = reader(text)
+    except ToolError as e:
+        return type(e), str(e)
+    if isinstance(r, SearchSequence):
+        return r.n, r.items.tolist()
+    if reader is read_freq:
+        return r.n, r.m, r.first, r.last, r.searches.tolist(), r.pair.tolist()
+    return r
+
+
+# Every separator str.split() accepts (ASCII and beyond), digit runs with
+# leading zeros around the 18-digit limit and the int64 edge, and the
+# stray characters int() takes or refuses.
+_SEPARATORS = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+_PIECE = st.one_of(
+    st.text("0123456789", min_size=1, max_size=25),
+    st.integers(0, 5).map(str),
+    st.sampled_from(["9223372036854775807", "9223372036854775808",
+                     "+", "-", "_", ".", "a", "e", "x", "+7", "1_0", "1.0", "1e3"]),
+)
+_SEPARATOR_SETS = tuple(st.text(st.sampled_from(chars), min_size=1, max_size=3) for chars in
+                        (" \t\n\v\f\r", " \t\n\v\f\r\x1c\x1d\x1e\x1f", _SEPARATORS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fast_parse_agrees_with_token_parse(data):
+    """The fast parse declines a text or returns what text.split() gives;
+    each integer reader returns the same result, or raises the same
+    error, with and without it."""
+    for reader in (read_sequence, read_tree, read_freq):
+        toks = _VALID[reader].split()
+        for i in data.draw(st.lists(st.integers(0, len(toks) - 1), max_size=2)):
+            toks[i] = data.draw(_PIECE)
+        sep = data.draw(st.sampled_from(_SEPARATOR_SETS))
+        seps = data.draw(st.lists(sep, min_size=len(toks) + 1, max_size=len(toks) + 1))
+        stream = data.draw(st.lists(st.one_of(_PIECE, sep), max_size=12))
+        for text in ("".join(a + b for a, b in zip(seps, toks)) + seps[-1],
+                     "".join(stream)):
+            fast = fileio._fast_ints(text)
+            if fast is not None:
+                assert fast.dtype == np.int64
+                assert fast.tolist() == np.array(text.split(), dtype=np.int64).tolist()
+            with mock.patch.object(fileio, "_fast_ints", lambda text: None):
+                slow = _outcome(reader, text)
+            assert _outcome(reader, text) == slow

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,11 @@ def test_frequencies_postconditions():
     empty = frequencies_from_sequence(SearchSequence(3, []))
     assert empty.m == 0 and empty.first == 0 and empty.last == 0
     assert int(empty.pair.sum()) == 0
+    # Built once per sequence and shared, so nothing may write to it.
+    assert frequencies_from_sequence(x) is s and x.stats is s
+    for arr in (s.pair, s.searches, x.items):
+        with pytest.raises(ValueError):
+            arr[1] = 0
 
 
 def test_frequencies_marginal_identities():
@@ -98,6 +105,11 @@ def test_frequencies_marginal_identities():
         s = frequencies_from_sequence(x)
         assert int(s.searches.sum()) == m
         assert int(s.pair.sum()) == m - 1
+        items = x.items.tolist()
+        literal = Counter(zip(items, items[1:]))
+        rows, cols = np.nonzero(s.pair)
+        assert {(a, b): int(s.pair[a, b]) for a, b in zip(rows.tolist(), cols.tolist())} \
+            == literal
         for a in range(1, n + 1):
             out_a = int(s.pair[a].sum())
             in_a = int(s.pair[:, a].sum())
