@@ -9,7 +9,8 @@ counts, never floats.
 Every lazy cost here comes from ``path_lengths``: in a BST the lowest
 common ancestor of keys a <= b is the shallowest key in a..b, so the
 path between them has ``depth[a] + depth[b] - 2 min(depth[a..b])``
-edges.
+edges.  The count-table cost is one such call over the table's
+``(a, b, count)`` triples, weighted by count.
 """
 
 from __future__ import annotations
@@ -88,11 +89,7 @@ def run_lazy_finger(t: StaticTree, x: SearchSequence) -> CostReport:
 
 
 def cost_from_frequencies(t: StaticTree, s: SearchStats) -> int:
-    """Lazy transition cost from a pair-count table: sum of
-    pair(a, b) * pathlen(a, b) over the keys a, b in 1..n (row and
-    column 0 are padding)."""
+    """Lazy transition cost from a count table: the sum over its
+    transitions a -> b of count * pathlen(a, b)."""
     _check_universe(t.n, s.n)
-    if s.pair.shape != (t.n + 1, t.n + 1):
-        raise InvalidInputError("pair table has the wrong shape")
-    a, b = np.nonzero(s.pair[1:, 1:])
-    return int((s.pair[a + 1, b + 1] * path_lengths(t, a + 1, b + 1)).sum())
+    return int((s.count * path_lengths(t, s.a, s.b)).sum())

@@ -57,19 +57,18 @@ def entropy(s: SearchStats) -> float:
 def conditional_entropy(s: SearchStats) -> float:
     """Entropy of each search given its predecessor, in bits.
 
-    Sum over nonzero pair counts of (pair/t) * lg(out/pair), where t is
-    the total transition count and out the per-predecessor row sum.
-    Every term is nonnegative, so the result is >= 0 even in floats.
+    Sum over the transitions a -> b of (count/t) * lg(out[a]/count),
+    where t is the total transition count and out[a] the transitions
+    out of a.  Every term is nonnegative, so the result is >= 0 even in
+    floats.
     """
     if s.m < 2:
         raise InvalidInputError("conditional entropy needs at least two searches")
-    pair = s.pair
-    t = int(pair.sum())
-    out = pair.sum(axis=1)
-    rows, cols = np.nonzero(pair)
-    cnt = pair[rows, cols].astype(np.float64)
-    ratio = out[rows].astype(np.float64) / cnt
-    return float(((cnt / t) * np.log2(ratio)).sum())
+    out = np.zeros(s.n + 1, dtype=np.int64)
+    np.add.at(out, s.a, s.count)
+    cnt = s.count.astype(np.float64)
+    ratio = out[s.a].astype(np.float64) / cnt
+    return float(((cnt / int(s.count.sum())) * np.log2(ratio)).sum())
 
 
 def weights_from_tree(t: StaticTree) -> WeightVector:

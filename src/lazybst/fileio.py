@@ -4,9 +4,10 @@ transition matrices.
 Writers are byte-deterministic: single spaces, ascending key order,
 newline-terminated lines, full-precision floats (shortest round-trip
 repr).  Readers classify failures: structural breakage raises
-MalformedInputError, values that parse but violate the key universe or
-the count identities raise InvalidInputError, and a count table over the
-memory budget raises UsageError.
+MalformedInputError, and values that parse but violate the key universe
+or the count identities raise InvalidInputError.  A count table is read
+as its (a, b, count) lines, so reading one needs memory in its file
+size, not in n^2.
 
 The integer readers (sequence, tree, count table) first try one
 whole-text numpy parse, which takes any text of ASCII digits and the
@@ -22,8 +23,7 @@ import numpy as np
 
 from .errors import InvalidInputError, MalformedInputError
 from .entropy import WeightVector
-from .model import SearchSequence, SearchStats, StaticTree, build_tree, check_memory, \
-    validate_tree
+from .model import SearchSequence, SearchStats, StaticTree, build_tree, validate_tree
 
 
 def _int(tok: str, what: str) -> int:
@@ -175,23 +175,19 @@ def read_weights(text: str) -> WeightVector:
 # -- frequency table --------------------------------------------------------
 
 def write_freq(s: SearchStats) -> str:
-    lines = [f"{s.n} {s.m} {s.first} {s.last}"]
-    lines.append(" ".join(str(int(s.searches[k])) for k in range(1, s.n + 1)))
-    rows, cols = np.nonzero(s.pair)
-    order = np.lexsort((cols, rows))
-    for idx in order:
-        a, b = int(rows[idx]), int(cols[idx])
-        lines.append(f"{a} {b} {int(s.pair[a, b])}")
+    lines = [f"{s.n} {s.m} {s.first} {s.last}", " ".join(map(str, s.searches[1:].tolist()))]
+    lines += [f"{a} {b} {c}" for a, b, c in zip(s.a.tolist(), s.b.tolist(), s.count.tolist())]
     return "\n".join(lines) + "\n"
 
 
 def read_freq(text: str) -> SearchStats:
     """Parse a count table and check it against the sequence identities.
 
-    Totals are compared in Python integers, so counts that would wrap in
-    int64 are rejected rather than summed.  Tables with 4 n m >= 2^63 are
-    rejected too (InvalidInputError): below that bound every path-length
-    sum, cut weight and DP intermediate fits in int64.
+    Pair lines with count 0 are dropped.  Totals are compared in Python
+    integers, so counts that would wrap in int64 are rejected rather than
+    summed.  Tables with 4 n m >= 2^63 are rejected too
+    (InvalidInputError): below that bound every path-length sum, cut
+    weight and DP intermediate fits in int64.
     """
     toks = _tokens(text, "frequency file", 4, _split_ints)
     n = _int(toks[0], "frequency file n")
@@ -236,20 +232,20 @@ def read_freq(text: str) -> SearchStats:
     if 4 * n * m >= 2**63:
         raise InvalidInputError(f"frequency file: n={n}, m={m} too large for "
                                 "exact 64-bit costs (needs 4 n m < 2^63)")
-    check_memory(n, 8 * (n + 1) ** 2, "count table")
-    pair = np.zeros((n + 1, n + 1), dtype=np.int64)
-    pair[a, b] = c
     # Each search of a key ends a transition into it or is the first
     # search, and starts a transition out of it or is the last.
-    into = pair.sum(axis=0)
+    into, out = np.zeros((2, n + 1), dtype=np.int64)
+    np.add.at(into, b, c)
+    np.add.at(out, a, c)
     into[first] += 1
-    out = pair.sum(axis=1)
     out[last] += 1
     bad = np.nonzero((into[1:] != searches[1:]) | (out[1:] != searches[1:]))[0]
     if bad.size:
         raise InvalidInputError(f"frequency file: search count of key {bad[0] + 1} "
                                 "disagrees with its pair counts")
-    return SearchStats(n=n, m=m, pair=pair, searches=searches, first=first, last=last)
+    keep = c > 0
+    return SearchStats(n=n, m=m, a=a[keep], b=b[keep], count=c[keep], searches=searches,
+                       first=first, last=last)
 
 
 # -- markov transition matrix ----------------------------------------------

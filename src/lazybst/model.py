@@ -2,16 +2,20 @@
 
 Keys are always the integers ``1..n``.  Every per-key table is a flat
 array of length ``n + 1`` whose slot 0 is unused padding, and ``0`` is
-the "no node" sentinel for child and parent slots.  This matches the
-on-disk formats, so nothing ever translates between representations.
+the "no node" sentinel for child and parent slots.  A count table's
+transitions are the count file's sorted ``(a, b, count)`` triples of
+the pairs that occur.  Both match the on-disk formats, so nothing ever
+translates between representations; only the cut table reads the
+transitions as a dense (n+1) x (n+1) table, ``SearchStats.pair``.
 
 Every subtree of a BST is a key interval, so a tree is a choice of root
 per interval: ``tree_from_splits`` turns such a choice into a tree and
 ``subtree_intervals`` reads the intervals back out of one.
 
-Every dense table whose size grows with n (count tables, DP tables, the
-default markov matrix) is first checked against one memory budget,
-``MEMORY_BUDGET``, by ``check_memory``.
+Every dense table whose size grows with n (a sequence's pair-count
+scratch, the dense pair view, the cut and DP tables, the default markov
+matrix) and every generated sequence is first checked against one
+memory budget, ``MEMORY_BUDGET``, by ``check_memory``.
 """
 
 from __future__ import annotations
@@ -204,56 +208,50 @@ class SearchSequence:
 
     @cached_property
     def stats(self) -> SearchStats:
-        """Count table of the sequence: per-key totals, consecutive-pair
-        counts, endpoints.  Built once and shared, so its arrays are
-        read-only."""
+        """Count table of the sequence, built once and shared."""
         n, items = self.n, self.items
         check_memory(n, 8 * (n + 1) ** 2, "count table")
-        pair = np.bincount(items[:-1] * (n + 1) + items[1:], minlength=(n + 1) ** 2)
-        pair = pair.astype(np.int64, copy=False).reshape(n + 1, n + 1)
-        searches = np.bincount(items, minlength=n + 1).astype(np.int64, copy=False)
-        pair.flags.writeable = searches.flags.writeable = False
+        flat = np.bincount(items[:-1] * (n + 1) + items[1:])
+        code = np.flatnonzero(flat)
         m = self.m
-        return SearchStats(n=n, m=m, pair=pair, searches=searches,
+        return SearchStats(n=n, m=m, a=code // (n + 1), b=code % (n + 1), count=flat[code],
+                           searches=np.bincount(items, minlength=n + 1),
                            first=int(items[0]) if m else 0, last=int(items[-1]) if m else 0)
 
 
 @dataclass(frozen=True, eq=False)
 class SearchStats:
-    """Count summary of a search sequence.
+    """Count summary of a search sequence, laid out as the count file.
 
-    ``pair[a, b]`` counts transitions x_{i-1} = a, x_i = b for i >= 2
-    (the first search starts no transition); ``searches[a]`` counts
-    occurrences of a; ``first``/``last`` are the endpoint keys, 0 when
-    the sequence is empty.  Arrays are 1-indexed with row/col 0 unused.
+    The transition a[i] -> b[i] (consecutive searches; the first search
+    starts none) occurs count[i] > 0 times, strictly ascending by (a, b).
+    ``searches[k]`` counts searches for k (slot 0 unused); ``first`` and
+    ``last`` are the endpoint keys, 0 when the sequence is empty.  Every
+    array is a read-only int64 view.
     """
 
     n: int
     m: int
-    pair: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    count: np.ndarray
     searches: np.ndarray
     first: int
     last: int
 
-    @classmethod
-    def from_pair_counts(cls, n: int, pair: np.ndarray, first: int = 0,
-                         last: int = 0) -> "SearchStats":
-        """Stats record for a raw transition-count table.
+    def __post_init__(self):
+        for name in ("a", "b", "count", "searches"):
+            arr = np.asarray(getattr(self, name), dtype=np.int64).view()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
-        m is inferred as total + 1 and search counts are derived from
-        in-transitions (plus the first key); those are exact only when
-        the table really came from a sequence starting at ``first``.
-        Meant for experiments on synthetic tables, which need not be
-        realizable by any single sequence.
-        """
-        pair = np.asarray(pair, dtype=np.int64)
-        if pair.shape != (n + 1, n + 1):
-            raise InvalidInputError("pair table must be (n+1) x (n+1)")
-        if pair.min() < 0:
-            raise InvalidInputError("negative transition count")
-        total = int(pair.sum())
-        m = total + 1 if (total > 0 or first) else 0
-        searches = pair.sum(axis=0).astype(np.int64)
-        if first:
-            searches[first] += 1
-        return cls(n=n, m=m, pair=pair, searches=searches, first=first, last=last)
+    @cached_property
+    def pair(self) -> np.ndarray:
+        """Dense read-only view: ``pair[a, b]`` counts a -> b, row and
+        column 0 are zero.  Built on first use, for the cut table."""
+        n = self.n
+        check_memory(n, 8 * (n + 1) ** 2, "count table")
+        pair = np.zeros((n + 1, n + 1), dtype=np.int64)
+        pair[self.a, self.b] = self.count
+        pair.flags.writeable = False
+        return pair

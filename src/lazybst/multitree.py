@@ -58,18 +58,15 @@ def build_multitree(s: SearchStats, d: int) -> MultiTree:
     n = s.n
     if not (1 <= d <= n):
         raise UsageError(f"d must be in 1..{n}, got {d}")
-    # One nonzero pass in row-major order: each key's successors form one
+    # The transitions are sorted by (a, b): each key's successors form one
     # contiguous run, in ascending key order.
-    pair = s.pair[1:, 1:]
-    rows, cols = np.nonzero(pair > 0)
-    counts = pair[rows, cols]
-    bounds = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    bounds = np.searchsorted(s.a, np.arange(1, n + 2)).tolist()
     succ = [SuccessorTree((), None)]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        keep = np.sort(lo + np.lexsort((cols[lo:hi], -counts[lo:hi]))[:d])
-        shape = (mehlhorn_build(WeightVector.from_values(counts[keep].tolist()))
+        keep = np.sort(lo + np.lexsort((s.b[lo:hi], -s.count[lo:hi]))[:d])
+        shape = (mehlhorn_build(WeightVector.from_values(s.count[keep].tolist()))
                  if keep.size else None)
-        succ.append(SuccessorTree(tuple((cols[keep] + 1).tolist()), shape))
+        succ.append(SuccessorTree(tuple(s.b[keep].tolist()), shape))
     return MultiTree(n=n, d=d, global_tree=build_balanced(n), succ=tuple(succ))
 
 
@@ -99,10 +96,9 @@ def run_multitree(mt: MultiTree, x: SearchSequence) -> int:
     if x.m == 0:
         return 0
     gdepth = mt.global_tree.depth
-    pair = x.stats.pair
-    rows, cols = np.nonzero(pair)
+    s = x.stats
     total = gdepth[int(x.items[0])] + 1
-    for a, b, count in zip(rows.tolist(), cols.tolist(), pair[rows, cols].tolist()):
+    for a, b, count in zip(s.a.tolist(), s.b.tolist(), s.count.tolist()):
         hit, comparisons = probe(mt.succ[a], b)
         total += count * (comparisons if hit else comparisons + gdepth[b] + 1)
     return total

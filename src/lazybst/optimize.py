@@ -5,8 +5,9 @@ a tree's cost in either model is the sum, over its non-root nodes v, of
 a weight of the key interval subtree(v).  For the lazy finger that
 weight is ``cut_table``, the transitions with exactly one endpoint in
 the interval, since a transition crosses the edge above v exactly when
-one of its endpoints lies in subtree(v); for the root finger it is the
-search count.  The kernel does O(n^3) work on vectorized diagonals.
+one of its endpoints lies in subtree(v); it is the one reader of the
+count table's dense view, ``SearchStats.pair``.  For the root finger the
+weight is the search count.  The kernel does O(n^3) work on vectorized diagonals.
 For the root model that trades the O(n^2) monotone-root-window scan for
 one code path: on a 2-vCPU machine it was faster up to n=1024 (0.52 s
 against 0.69 s) and about 10% slower at n=2048 (5.4 s against 5.0 s).
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import bisect
 import random
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +37,11 @@ class OptResult:
     cost: int
 
 
-def _interval_dp(n: int, weight: np.ndarray) -> OptResult:
+def _interval_dp(n: int, weight: Callable[[int], np.ndarray]) -> OptResult:
     """Cheapest tree on 1..n whose cost is the sum of ``weight`` over the
     subtrees of its non-root nodes.
 
-    ``weight[i, j]`` is the weight of the key interval i+1..j.  With
+    ``weight(ln)[i]`` is the weight of the key interval i+1..i+ln.  With
     ``G = cost + weight`` and ``G(empty) = 0`` the recurrence is
     ``cost[a, b] = min_r G[a, r-1] + G[r+1, b]``.  G is kept twice, by
     start and by end, with the end layout's lengths reversed, so the
@@ -59,7 +61,7 @@ def _interval_dp(n: int, weight: np.ndarray) -> OptResult:
         k = total.argmin(axis=1)
         cost = total[np.arange(A), k]
         root[1:A + 1, ln] = k
-        G = cost + np.diagonal(weight, ln)
+        G = cost + weight(ln)
         H[1:A + 1, ln] = G
         E[ln:n + 1, n - ln] = G
     tree = tree_from_splits(n, lambda a, b: a + int(root[a, b - a + 1]))
@@ -89,7 +91,8 @@ def optimal_lazy_dp(s: SearchStats) -> OptResult:
     """Minimize the lazy-finger transition cost: the interval DP over cut
     weights, since a transition crosses the edge above v exactly when
     one of its endpoints lies in subtree(v)."""
-    return _interval_dp(s.n, cut_table(s))
+    cut = cut_table(s)
+    return _interval_dp(s.n, lambda ln: np.diagonal(cut, ln))
 
 
 def optimal_root_dp(s: SearchStats) -> OptResult:
@@ -97,7 +100,7 @@ def optimal_root_dp(s: SearchStats) -> OptResult:
     interval DP over subtree search weights, since a search for a pays
     the edge above v exactly when a lies in subtree(v)."""
     w = np.concatenate(([0], np.cumsum(s.searches[1:], dtype=np.int64)))
-    return _interval_dp(s.n, w[None, :] - w[:, None])
+    return _interval_dp(s.n, lambda ln: w[ln:] - w[:-ln])
 
 
 def mehlhorn_build(w: WeightVector) -> StaticTree:

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: random instances, fixed count
-files, independent oracles (tree distances, tree validation, brute-force
-and exhaustive optimizers, the per-search multitree walk), and the
-Eulerian stitcher that turns a count table back into a sequence."""
+files, count tables from dense pair tables, independent oracles (tree
+distances, tree validation, brute-force and exhaustive optimizers, the
+per-search multitree walk), and the Eulerian stitcher that turns a
+count table back into a sequence."""
 
 from __future__ import annotations
 
@@ -94,6 +95,32 @@ def random_sequence(rng: random.Random, n: int, m: int) -> SearchSequence:
     return SearchSequence(n, [rng.randint(1, n) for _ in range(m)])
 
 
+def stats_from_pair_counts(n: int, pair, first: int = 0, last: int = 0) -> SearchStats:
+    """Stats record for a dense (n+1) x (n+1) transition-count table,
+    ``pair[a, b]`` counting a -> b; row and column 0 are ignored.
+
+    m is inferred as total + 1 and search counts are derived from
+    in-transitions (plus the first key); those are exact only when the
+    table really came from a sequence starting at ``first``.  Meant for
+    experiments on synthetic tables, which need not be realizable by any
+    single sequence.
+    """
+    pair = np.array(pair, dtype=np.int64)
+    if pair.shape != (n + 1, n + 1):
+        raise InvalidInputError("pair table must be (n+1) x (n+1)")
+    if pair.min() < 0:
+        raise InvalidInputError("negative transition count")
+    pair[0, :] = pair[:, 0] = 0
+    a, b = np.nonzero(pair)
+    total = int(pair.sum())
+    m = total + 1 if (total > 0 or first) else 0
+    searches = pair.sum(axis=0)
+    if first:
+        searches[first] += 1
+    return SearchStats(n=n, m=m, a=a, b=b, count=pair[a, b], searches=searches,
+                       first=first, last=last)
+
+
 def random_pair_stats(rng: random.Random, n: int, max_count: int = 9) -> SearchStats:
     """Raw random count table; need not be realizable by one sequence."""
     pair = np.zeros((n + 1, n + 1), dtype=np.int64)
@@ -101,7 +128,7 @@ def random_pair_stats(rng: random.Random, n: int, max_count: int = 9) -> SearchS
         for b in range(1, n + 1):
             if rng.random() < 0.6:
                 pair[a, b] = rng.randint(0, max_count)
-    return SearchStats.from_pair_counts(n, pair)
+    return stats_from_pair_counts(n, pair)
 
 
 def walk_step_oracle(t: StaticTree, i: int, j: int) -> int:
@@ -150,14 +177,8 @@ def stitch_sequence(s: SearchStats) -> SearchSequence:
     walk over the transition multigraph, starting at s.first)."""
     assert s.m >= 1
     succ: dict[int, deque[int]] = {}
-    for a in range(1, s.n + 1):
-        run = []
-        for b in range(1, s.n + 1):
-            c = int(s.pair[a, b])
-            if c:
-                run.extend([b] * c)
-        if run:
-            succ[a] = deque(run)
+    for a, b, c in zip(s.a.tolist(), s.b.tolist(), s.count.tolist()):
+        succ.setdefault(a, deque()).extend([b] * c)
     stack = [s.first]
     out: list[int] = []
     while stack:

@@ -124,7 +124,7 @@ def _counts_to_stats(counts: np.ndarray) -> SearchStats:
     searches = counts.astype(np.int64)
     m = int(searches.sum())
     keys = np.nonzero(searches)[0]
-    return SearchStats(n=n, m=m, pair=np.zeros((n + 1, n + 1), dtype=np.int64),
+    return SearchStats(n=n, m=m, a=[], b=[], count=[],
                        searches=searches, first=int(keys[0]), last=int(keys[-1]))
 
 

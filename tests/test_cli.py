@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,48 @@ def test_gen_random_kinds_require_seed(capsys):
     for kind in ("rounds", "markov", "uniform"):
         code, _, err = run(capsys, "gen", "--kind", kind, "--n", "4", "--m", "8")
         assert code == 1 and "--seed" in err
+
+
+def test_gen_bad_parameters_are_usage_errors(capsys):
+    cases = [(["--kind", kind, "--seed", "-1"], "seed")
+             for kind in ("rounds", "markov", "uniform")]
+    cases += [(["--kind", "markov", "--seed", "1", "--concentration", c], "concentration")
+              for c in ("-1", "nan", "inf")]
+    cases += [(["--kind", kind, "--n", str(2**63), "--seed", "1"], "n must be")
+              for kind in ("sequential", "uniform")]
+    for argv, flag in cases:
+        argv = ["gen", "--n", "5", "--m", "5", *argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.count("\n") == 1 and err.startswith("error: ") and flag in err, argv
+
+
+def test_gen_sizes_end_in_a_file_or_one_error_line(tmp_path, capsys):
+    out = tmp_path / "x.seq"
+    # m-sized work is checked against the budget; n-sized work is gone
+    # from the cyclic kinds and checked for rounds.
+    cases = [("--kind uniform --n 5 --m 1000000000000 --seed 1", None),
+             ("--kind sequential --n 5 --m 1000000000000", None),
+             ("--kind bitrev --n 4 --m 1000000000000", None),
+             ("--kind rounds --n 1000000000000 --m 5 --seed 1", None),
+             ("--kind sequential --n 1000000000000 --m 5",
+              "1000000000000 5\n1 2 3 4 5\n"),
+             (f"--kind bitrev --n {2**40} --m 5",
+              f"{2**40} 5\n1 {2**39 + 1} {2**38 + 1} {2**39 + 2**38 + 1} {2**37 + 1}\n")]
+    for argv, text in cases:
+        tracemalloc.start()
+        try:
+            code, stdout, err = run(capsys, "gen", *argv.split(), "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, argv
+        assert stdout == "", argv
+        if text is None:
+            assert code == 1 and err.count("\n") == 1 and err.startswith("error: "), argv
+            assert "bytes, over the" in err, argv
+        else:
+            assert code == 0 and err == "" and out.read_text() == text, argv
 
 
 def test_stats_sequential(tmp_path, capsys):
@@ -210,6 +253,17 @@ def test_universe_over_memory_budget_is_usage_error(tmp_path, capsys):
         assert code == 1 and out == "", argv
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "n=100000 needs" in err
+
+
+def test_count_file_over_memory_budget_is_read(tmp_path, capsys):
+    # Reading keeps only the listed transitions; each optimizer then names
+    # the first n-squared table it would need.
+    freq = tmp_path / "x.freq"
+    freq.write_text("100000 2 1 2\n1 1" + " 0" * 99998 + "\n1 2 1\n")
+    for method, what in (("lazy", "cut table"), ("root", "interval DP tables")):
+        code, out, err = run(capsys, "opt", "--method", method, "--freq", str(freq))
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {what} for n=100000 needs ")
 
 
 def test_eval_lazy_balanced3(tmp_path, capsys):

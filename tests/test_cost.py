@@ -4,11 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lazybst import (InvalidInputError, SearchSequence, SearchStats,
+from lazybst import (InvalidInputError, SearchSequence,
                      build_balanced, build_tree, cost_from_frequencies,
                      frequencies_from_sequence, run_lazy_finger, run_root_finger)
 from support import (caterpillar_tree, closed_form_lazy_total, path_tree, random_sequence,
-                     random_tree, step_cost, vee_tree)
+                     random_tree, stats_from_pair_counts, step_cost, vee_tree)
 
 
 def test_root_finger_worked_examples():
@@ -38,24 +38,25 @@ def test_cost_from_frequencies_worked_examples():
     pair = np.zeros((4, 4), dtype=np.int64)
     pair[1, 3] = 5
     pair[3, 1] = 5
-    s = SearchStats.from_pair_counts(3, pair)
+    s = stats_from_pair_counts(3, pair)
     bent = build_tree(3, 1, [0, 0, 0, 2], [0, 3, 0, 0])
     assert cost_from_frequencies(bent, s) == 10
     assert cost_from_frequencies(build_balanced(3), s) == 20
-    zero = SearchStats.from_pair_counts(3, np.zeros((4, 4), dtype=np.int64))
+    zero = stats_from_pair_counts(3, np.zeros((4, 4), dtype=np.int64))
     assert cost_from_frequencies(bent, zero) == 0
-    # Row and column 0 are padding: only 3 * pathlen(2, 5) + 2 * pathlen(4, 1) counts.
+    # Row and column 0 of a dense table are not transitions: only
+    # 3 * pathlen(2, 5) + 2 * pathlen(4, 1) counts.
     pair = np.zeros((6, 6), dtype=np.int64)
     pair[2, 5] = 3
     pair[4, 1] = 2
     pair[0, 0] = pair[0, 4] = pair[3, 0] = 1
-    assert cost_from_frequencies(build_balanced(5), SearchStats.from_pair_counts(5, pair)) == 14
+    assert cost_from_frequencies(build_balanced(5), stats_from_pair_counts(5, pair)) == 14
 
 
 def test_cost_from_frequencies_rejects_non_bst():
     # root 1 -> right 3 -> right 2: key 2 sits where keys above 3 belong
     bad = build_tree(3, 1, [0, 0, 0, 0], [0, 3, 0, 2])
-    s = SearchStats.from_pair_counts(3, np.ones((4, 4), dtype=np.int64))
+    s = stats_from_pair_counts(3, np.ones((4, 4), dtype=np.int64))
     with pytest.raises(InvalidInputError):
         cost_from_frequencies(bad, s)
     # Neither search falls off this tree, but the tree is still no BST.

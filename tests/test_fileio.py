@@ -91,19 +91,38 @@ def test_weights_errors():
         read_weights("1\nabc\n")
 
 
+def _stats_fields(s):
+    return (s.n, s.m, s.first, s.last, s.searches.tolist(), s.a.tolist(), s.b.tolist(),
+            s.count.tolist())
+
+
 def test_freq_round_trip():
     x = SearchSequence(4, [1, 2, 3, 1, 2, 3, 1, 4])
     s = frequencies_from_sequence(x)
     text = write_freq(s)
-    head = text.splitlines()[0]
-    assert head == "4 8 1 4"
+    assert text == "4 8 1 4\n3 2 2 1\n1 2 2\n1 4 1\n2 3 2\n3 1 2\n"
     back = read_freq(text)
-    assert back.m == s.m and back.first == s.first and back.last == s.last
-    assert np.array_equal(back.pair, s.pair)
-    assert np.array_equal(back.searches, s.searches)
     assert write_freq(back) == text
-    empty = frequencies_from_sequence(SearchSequence(2, []))
-    assert read_freq(write_freq(empty)).m == 0
+    rng = random.Random(12)
+    for y in [x, SearchSequence(2, []), SearchSequence(1, [1]),
+              *(random_sequence(rng, rng.randint(1, 30), rng.randint(1, 300))
+                for _ in range(20))]:
+        s = frequencies_from_sequence(y)
+        back = read_freq(write_freq(s))
+        assert _stats_fields(back) == _stats_fields(s)
+        assert all(arr.dtype == np.int64 and not arr.flags.writeable
+                   for arr in (back.a, back.b, back.count, back.searches))
+
+
+def test_freq_zero_count_lines_are_dropped():
+    text = write_freq(frequencies_from_sequence(SearchSequence(3, [1, 3, 1, 2])))
+    assert text == "3 4 1 2\n2 1 1\n1 2 1\n1 3 1\n3 1 1\n"
+    padded = "3 4 1 2\n2 1 1\n1 1 0\n1 2 1\n1 3 1\n2 2 0\n3 1 1\n3 3 0\n"
+    assert _stats_fields(read_freq(padded)) == _stats_fields(read_freq(text))
+    assert write_freq(read_freq(padded)) == text
+    # Zero-count lines still sit in the order every pair line keeps.
+    with pytest.raises(MalformedInputError, match="out of order"):
+        read_freq("3 4 1 2\n2 1 1\n1 2 1\n1 1 0\n1 3 1\n3 1 1\n")
 
 
 def test_freq_errors_classified():
@@ -225,7 +244,7 @@ def _outcome(reader, text):
     if isinstance(r, SearchSequence):
         return r.n, r.items.tolist()
     if reader is read_freq:
-        return r.n, r.m, r.first, r.last, r.searches.tolist(), r.pair.tolist()
+        return _stats_fields(r)
     return r
 
 

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lazybst import (InvalidInputError, SearchSequence, SearchStats, StaticTree,
+from lazybst import (InvalidInputError, SearchSequence, StaticTree,
                      UsageError, build_balanced, build_tree, validate_tree)
 from lazybst.fileio import read_freq
 from lazybst.model import MEMORY_BUDGET, subtree_intervals, tree_from_splits
 from lazybst.optimize import _interval_dp, cut_table
-from lazybst.seqgen import _default_matrix, frequencies_from_sequence
-from support import (distance_matrix, lca, path_tree, random_tree, step_cost,
-                     validate_tree_inorder, vee_tree, walk_step_oracle)
+from lazybst.seqgen import GeneratorSpec, _default_matrix, frequencies_from_sequence, \
+    generate
+from support import (distance_matrix, lca, path_tree, random_pair_stats, random_tree,
+                     stats_from_pair_counts, step_cost, validate_tree_inorder, vee_tree,
+                     walk_step_oracle)
 
 
 def test_balanced_small_shapes():
@@ -188,21 +190,41 @@ def test_stats_from_pair_counts():
     pair = np.zeros((4, 4), dtype=np.int64)
     pair[1, 3] = 5
     pair[3, 1] = 5
-    s = SearchStats.from_pair_counts(3, pair)
+    s = stats_from_pair_counts(3, pair)
     assert s.m == 11
-    assert int(s.pair.sum()) == 10
+    assert (s.a.tolist(), s.b.tolist(), s.count.tolist()) == ([1, 3], [3, 1], [5, 5])
+    assert np.array_equal(s.pair, pair)
     with pytest.raises(InvalidInputError):
-        SearchStats.from_pair_counts(3, -pair)
+        stats_from_pair_counts(3, -pair)
+
+
+def test_count_table_triples_are_sorted_positive_and_read_only():
+    rng = random.Random(70)
+    tables = [frequencies_from_sequence(generate(GeneratorSpec(kind, n, 500, seed=seed)))
+              for kind, n in (("markov", 12), ("uniform", 30), ("rounds", 9), ("bitrev", 8))
+              for seed in (1, 2)]
+    tables += [random_pair_stats(rng, rng.randint(1, 12)) for _ in range(20)]
+    tables.append(frequencies_from_sequence(SearchSequence(4, [])))
+    for s in tables:
+        assert (np.diff(s.a * (s.n + 1) + s.b) > 0).all()
+        assert (s.count > 0).all()
+        assert ((1 <= s.a) & (s.a <= s.n) & (1 <= s.b) & (s.b <= s.n)).all()
+        assert s.searches.shape == (s.n + 1,)
+        for arr in (s.a, s.b, s.count, s.searches, s.pair):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+        # The dense view holds the triples and nothing else.
+        assert s.pair.shape == (s.n + 1, s.n + 1)
+        assert s.pair[s.a, s.b].tolist() == s.count.tolist()
+        assert int(s.pair.sum()) == int(s.count.sum())
 
 
 def test_memory_budget_refuses_before_allocating():
     n = 100_000   # an (n+1)^2 int64 table is 80 GB
-    big = SearchStats(n=n, m=0, pair=np.zeros((1, 1), dtype=np.int64),
-                      searches=np.zeros(1, dtype=np.int64), first=0, last=0)
+    freq = f"{n} 2 1 2\n1 1" + " 0" * (n - 2) + "\n1 2 1\n"
     calls = [
         ("count table", lambda: frequencies_from_sequence(SearchSequence(n, [1, 2]))),
-        ("count table", lambda: read_freq(f"{n} 2 1 2\n1 1" + " 0" * (n - 2) + "\n1 2 1\n")),
-        ("cut table", lambda: cut_table(big)),
+        ("count table", lambda: read_freq(freq).pair),
+        ("cut table", lambda: cut_table(read_freq(freq))),
         ("interval DP tables", lambda: _interval_dp(n, None)),
         ("markov transition matrix",
          lambda: _default_matrix(np.random.default_rng(0), n, 0.2)),
@@ -217,6 +239,16 @@ def test_memory_budget_refuses_before_allocating():
             tracemalloc.stop()
         # the file text and its tokens, nothing of the table's size
         assert peak < 64 * 2**20, what
+    # A count file lists only its transitions, so reading one needs
+    # nothing of the dense table's size.
+    tracemalloc.start()
+    try:
+        s = read_freq(freq)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert (s.n, s.a.tolist(), s.b.tolist(), s.count.tolist()) == (n, [1], [2], [1])
     # n = 2048 passes the count-table and cut-table checks
     s = frequencies_from_sequence(SearchSequence(2048, [1, 2048, 1]))
     assert cut_table(s).nbytes < MEMORY_BUDGET

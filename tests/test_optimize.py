@@ -14,14 +14,14 @@ from lazybst.fileio import write_tree
 from lazybst.optimize import cut_table
 from support import (_all_shapes, enumerate_optimal, optimal_lazy_naive,
                      optimal_root_naive, random_pair_stats, random_sequence,
-                     stitch_sequence)
+                     stats_from_pair_counts, stitch_sequence)
 
 
 def _alternating_stats():
     pair = np.zeros((4, 4), dtype=np.int64)
     pair[1, 3] = 5
     pair[3, 1] = 5
-    return SearchStats.from_pair_counts(3, pair)
+    return stats_from_pair_counts(3, pair)
 
 
 def test_cut_table_matches_literal_count():
@@ -39,14 +39,14 @@ def test_cut_table_matches_literal_count():
 
 
 def test_lazy_optimizers_trivial_and_alternating():
-    one = SearchStats.from_pair_counts(1, np.zeros((2, 2), dtype=np.int64))
+    one = stats_from_pair_counts(1, np.zeros((2, 2), dtype=np.int64))
     for fn in (optimal_lazy_naive, optimal_lazy_dp, enumerate_optimal):
         res = fn(one)
         assert res.cost == 0 and res.tree.n == 1
     s = _alternating_stats()
     for fn in (optimal_lazy_naive, optimal_lazy_dp, enumerate_optimal):
         assert fn(s).cost == 10
-    zero3 = SearchStats.from_pair_counts(3, np.zeros((4, 4), dtype=np.int64))
+    zero3 = stats_from_pair_counts(3, np.zeros((4, 4), dtype=np.int64))
     res = optimal_lazy_naive(zero3)
     assert res.cost == 0
     assert res.tree.root == 1 and res.tree.right[1] == 2 and res.tree.right[2] == 3
@@ -99,13 +99,12 @@ def test_recurrence_audit_against_stitched_sequences():
 
 
 def test_root_dp_worked_examples():
-    zero = np.zeros((2, 2), dtype=np.int64)
-    one = SearchStats(1, 4, zero, np.array([0, 4]), 1, 1)
+    one = SearchStats(1, 4, [], [], [], np.array([0, 4]), 1, 1)
     assert optimal_root_dp(one).cost == 0
-    uni = SearchStats(3, 3, np.zeros((4, 4), np.int64), np.array([0, 1, 1, 1]), 1, 3)
+    uni = SearchStats(3, 3, [], [], [], np.array([0, 1, 1, 1]), 1, 3)
     res = optimal_root_dp(uni)
     assert res.tree.root == 2 and res.cost == 2
-    skew = SearchStats(3, 12, np.zeros((4, 4), np.int64), np.array([0, 10, 1, 1]), 1, 1)
+    skew = SearchStats(3, 12, [], [], [], np.array([0, 10, 1, 1]), 1, 1)
     res = optimal_root_dp(skew)
     assert res.tree.root == 1 and res.cost == 3
 
@@ -126,8 +125,7 @@ def test_root_dp_equals_baseline():
         searches = np.zeros(n + 1, dtype=np.int64)
         for k in range(1, n + 1):
             searches[k] = rng.randint(0, 50)
-        s = SearchStats(n, int(searches.sum()), np.zeros((n + 1, n + 1), np.int64),
-                        searches, 1, 1)
+        s = SearchStats(n, int(searches.sum()), [], [], [], searches, 1, 1)
         fast = optimal_root_dp(s)
         slow = optimal_root_naive(s)
         assert fast.cost == slow.cost
@@ -156,7 +154,7 @@ TIE_PINS = {
 
 def _pin_stats(name):
     if name == "zero-40":
-        return SearchStats.from_pair_counts(40, np.zeros((41, 41), dtype=np.int64))
+        return stats_from_pair_counts(40, np.zeros((41, 41), dtype=np.int64))
     spec = {"sequential-64": GeneratorSpec("sequential", 64, 640),
             "bitrev-64": GeneratorSpec("bitrev", 64, 640),
             "markov-96": GeneratorSpec("markov", 96, 5000, seed=5)}[name]
@@ -260,7 +258,7 @@ def test_root_sandwich_small():
         for k in range(1, n + 1):
             counts[k] = rng.randint(1, 40)
         m = int(counts.sum())
-        s = SearchStats(n, m, np.zeros((n + 1, n + 1), np.int64), counts, 1, 1)
+        s = SearchStats(n, m, [], [], [], counts, 1, 1)
         h = entropy(s)
         opt = optimal_root_dp(s).cost / m
         meh = run_root_finger(mehlhorn_build(WeightVector.from_values(counts[1:])),

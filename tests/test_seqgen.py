@@ -20,6 +20,7 @@ def test_bitrev():
     assert x8.items.tolist() == [1, 5, 3, 7, 2, 6, 4, 8]
     assert sorted(x8.items.tolist()) == list(range(1, 9))
     assert generate(GeneratorSpec("bitrev", 1, 3)).items.tolist() == [1, 1, 1]
+    assert generate(GeneratorSpec("bitrev", 4, 10)).items.tolist() == [1, 3, 2, 4] * 2 + [1, 3]
     with pytest.raises(UsageError):
         generate(GeneratorSpec("bitrev", 6, 6))
 
@@ -82,15 +83,18 @@ def test_frequencies_postconditions():
     s = frequencies_from_sequence(x)
     assert s.m == 5 and s.first == 2 and s.last == 4
     assert s.searches[1:].tolist() == [0, 3, 1, 1]
+    assert (s.a.tolist(), s.b.tolist(), s.count.tolist()) == \
+        ([2, 2, 2, 3], [2, 3, 4, 2], [1, 1, 1, 1])
     assert int(s.pair.sum()) == 4
     assert s.pair[2, 3] == 1 and s.pair[3, 2] == 1 and s.pair[2, 2] == 1 \
         and s.pair[2, 4] == 1
     empty = frequencies_from_sequence(SearchSequence(3, []))
     assert empty.m == 0 and empty.first == 0 and empty.last == 0
+    assert empty.a.size == empty.b.size == empty.count.size == 0
     assert int(empty.pair.sum()) == 0
     # Built once per sequence and shared, so nothing may write to it.
     assert frequencies_from_sequence(x) is s and x.stats is s
-    for arr in (s.pair, s.searches, x.items):
+    for arr in (s.a, s.b, s.count, s.pair, s.searches, x.items):
         with pytest.raises(ValueError):
             arr[1] = 0
 
@@ -107,9 +111,8 @@ def test_frequencies_marginal_identities():
         assert int(s.pair.sum()) == m - 1
         items = x.items.tolist()
         literal = Counter(zip(items, items[1:]))
-        rows, cols = np.nonzero(s.pair)
-        assert {(a, b): int(s.pair[a, b]) for a, b in zip(rows.tolist(), cols.tolist())} \
-            == literal
+        assert list(zip(s.a.tolist(), s.b.tolist(), s.count.tolist())) == \
+            [(a, b, c) for (a, b), c in sorted(literal.items())]
         for a in range(1, n + 1):
             out_a = int(s.pair[a].sum())
             in_a = int(s.pair[:, a].sum())
