@@ -9,8 +9,11 @@ counts, never floats.
 Every lazy cost here comes from ``path_lengths``: in a BST the lowest
 common ancestor of keys a <= b is the shallowest key in a..b, so the
 path between them has ``depth[a] + depth[b] - 2 min(depth[a..b])``
-edges.  The count-table cost is one such call over the table's
-``(a, b, count)`` triples, weighted by count.
+edges.  Search i of a lazy finger costs pathlen(x_{i-1}, x_i) wherever
+it falls in the sequence, so the lazy cost is a function of the count
+table alone: one such call over its ``(a, b, count)`` triples, weighted
+by count, plus the descent to x_1.  A root-finger cost is one gather
+of depth over the m searches, which is cheaper than counting them.
 """
 
 from __future__ import annotations
@@ -80,12 +83,12 @@ def run_root_finger(t: StaticTree, x: SearchSequence) -> CostReport:
 
 def run_lazy_finger(t: StaticTree, x: SearchSequence) -> CostReport:
     """Lazy-finger cost: the path lengths between consecutive searches,
-    with the initial descent from the root to x_1 reported separately."""
+    costed from the sequence's count table, with the initial descent
+    from the root to x_1 reported separately."""
     _check_universe(t.n, x.n)
     if x.m == 0:
         return _report(0, 0, 0)
-    steps = path_lengths(t, x.items[:-1], x.items[1:])
-    return _report(int(steps.sum()), t.depth[x.items[0]], x.m)
+    return _report(cost_from_frequencies(t, x.stats), t.depth[x.items[0]], x.m)
 
 
 def cost_from_frequencies(t: StaticTree, s: SearchStats) -> int:

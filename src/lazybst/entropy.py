@@ -3,7 +3,9 @@
 Entropies are in bits.  ``entropy`` is the plain entropy of the search
 distribution; ``conditional_entropy`` conditions each search on its
 predecessor and is normalized by the transition count t = m - 1, not by
-m, so a perfectly predictable chain scores exactly zero.
+m, so a perfectly predictable chain scores exactly zero.  Like the lazy
+cost it bounds, ``df_bound`` is a function of the count table's
+``(a, b, count)`` triples.
 """
 
 from __future__ import annotations
@@ -86,7 +88,9 @@ def df_bound(w: WeightVector, x: SearchSequence) -> float:
 
     Sum over consecutive pairs (a, b) of lg(range-sum / min endpoint
     weight), where the range runs over keys between a and b inclusive.
-    A transition a -> a contributes exactly 0 (its range is just {a}).
+    A term depends only on its pair, so the sum runs over the count
+    table's distinct transitions, each term times its count.  A
+    transition a -> a contributes exactly 0 (its range is just {a}).
     """
     if w.n != x.n:
         raise InvalidInputError(f"universe mismatch: weights n={w.n}, sequence n={x.n}")
@@ -94,8 +98,8 @@ def df_bound(w: WeightVector, x: SearchSequence) -> float:
         raise InvalidInputError("df_bound needs at least one search")
     if x.m == 1:
         return 0.0
-    a = x.items[:-1]
-    b = x.items[1:]
+    s = x.stats
+    a, b = s.a, s.b
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
     sums = w.prefix[hi] - w.prefix[lo - 1]
@@ -105,4 +109,4 @@ def df_bound(w: WeightVector, x: SearchSequence) -> float:
     sums = np.maximum(sums, w.w[a] + w.w[b])
     minw = np.minimum(w.w[a], w.w[b])
     terms = np.where(a == b, 0.0, np.log2(sums) - np.log2(minw))
-    return float(terms.sum())
+    return float((s.count * terms).sum())

@@ -11,9 +11,9 @@ size, not in n^2.
 
 The integer readers (sequence, tree, count table) first try one
 whole-text numpy parse, which takes any text of ASCII digits and the
-separators \t \n \v \f \r and space with no digit run longer than 18.
+separators \t \n \v \f \r and space whose values are all below 10^18.
 Any other text (signs, underscores, non-ASCII digits, the separators
-\x1c-\x1f, longer runs) is split into tokens and parsed token by token,
+\x1c-\x1f, larger values) is split into tokens and parsed token by token,
 which accepts exactly what int() accepts and names the bad token.
 """
 
@@ -53,20 +53,21 @@ _FAST_BYTES = b"0123456789\t\n\v\f\r "
 
 def _fast_ints(text: str) -> np.ndarray | None:
     """Every integer of text as int64 from one numpy pass, or None when
-    the text holds another byte or a digit run numpy could clamp."""
+    the text holds another byte or a value numpy could have clamped."""
     if not text.isascii():
         return None
     raw = text.encode("ascii")
     if raw.translate(None, _FAST_BYTES):
         return None
     digit = np.frombuffer(raw, np.uint8) >= ord("0")
-    edges = np.flatnonzero(np.diff(digit, prepend=False, append=False))
-    # Runs of at most 18 digits are below 10^18 < 2^63: no value overflows.
-    if edges.size and (edges[1::2] - edges[0::2]).max() > 18:
-        return None
+    runs = np.count_nonzero(digit[1:] > digit[:-1]) + bool(digit[:1].any())
     vals = np.fromstring(raw, dtype=np.int64, sep=" ")
     # numpy reads a text of separators alone as [0]: one value per run.
-    return vals if vals.size == edges.size // 2 else None
+    # It clamps a run past 2^63 - 1 without a warning, so any value of
+    # 10^18 or more goes to the token parse, which names an overflow.
+    if vals.size != runs or (runs and vals.max() >= 10**18):
+        return None
+    return vals
 
 
 def _split_ints(text: str):

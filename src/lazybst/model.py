@@ -12,10 +12,12 @@ Every subtree of a BST is a key interval, so a tree is a choice of root
 per interval: ``tree_from_splits`` turns such a choice into a tree and
 ``subtree_intervals`` reads the intervals back out of one.
 
-Every dense table whose size grows with n (a sequence's pair-count
-scratch, the dense pair view, the cut and DP tables, the default markov
+Every dense table whose size grows with n (a sequence's per-key search
+counts, the dense pair view, the cut and DP tables, the default markov
 matrix) and every generated sequence is first checked against one
-memory budget, ``MEMORY_BUDGET``, by ``check_memory``.
+memory budget, ``MEMORY_BUDGET``, by ``check_memory``.  A sequence's
+count table needs no (n+1)^2 table: past the budget its transitions
+are counted by sorting (``SearchSequence.stats``).
 """
 
 from __future__ import annotations
@@ -208,15 +210,34 @@ class SearchSequence:
 
     @cached_property
     def stats(self) -> SearchStats:
-        """Count table of the sequence, built once and shared."""
-        n, items = self.n, self.items
-        check_memory(n, 8 * (n + 1) ** 2, "count table")
-        flat = np.bincount(items[:-1] * (n + 1) + items[1:])
-        code = np.flatnonzero(flat)
-        m = self.m
-        return SearchStats(n=n, m=m, a=code // (n + 1), b=code % (n + 1), count=flat[code],
-                           searches=np.bincount(items, minlength=n + 1),
-                           first=int(items[0]) if m else 0, last=int(items[-1]) if m else 0)
+        """Count table of the sequence, built once and shared.
+
+        Each transition a -> b is coded a (n+1) + b.  While the dense
+        (n+1)^2 table and its nonzero mask (9 bytes a cell) fit the
+        budget, the codes are counted into it with one ``np.bincount``,
+        several times faster than sorting at m = 10^6; past it
+        (n >= 15,446) they are sorted and counted with ``np.unique``, in
+        memory linear in m.
+        """
+        n, items, m = self.n, self.items, self.m
+        # Once the n+1 per-key counts fit the budget, (n+1)^2 < 2^63.
+        check_memory(n, 8 * (n + 1), "per-key search counts")
+        first = int(items[0]) if m else 0
+        if 9 * (n + 1) ** 2 > MEMORY_BUDGET:
+            code, count = np.unique(items[:-1] * (n + 1) + items[1:], return_counts=True)
+            searches = np.bincount(items, minlength=n + 1)
+        else:
+            flat = np.bincount(items[:-1] * (n + 1) + items[1:], minlength=(n + 1) ** 2)
+            code = np.flatnonzero(flat != 0)   # several times faster on bools
+            count = flat[code]
+            # Every search but the first ends a transition: a key's
+            # searches are its column of the table, plus the first.
+            searches = flat.reshape(n + 1, n + 1).sum(axis=0)
+            if m:
+                searches[first] += 1
+        a, b = np.divmod(code, n + 1)
+        return SearchStats(n=n, m=m, a=a, b=b, count=count, searches=searches,
+                           first=first, last=int(items[-1]) if m else 0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,7 +45,14 @@ def _default_matrix(rng: np.random.Generator, n: int, concentration: float) -> n
     # Normalized Gamma rows == Dirichlet rows; one matrix-shaped draw
     # keeps the byte layout of the randomness fixed.
     g = rng.gamma(concentration, 1.0, size=(n, n))
-    sums = g.sum(axis=1)
+    with np.errstate(over="ignore"):
+        sums = g.sum(axis=1)
+    # Finite draws near the float maximum can sum past it; those rows
+    # alone are scaled by their max first, so every other row is unchanged.
+    big = ~np.isfinite(sums)
+    if big.any():
+        g[big] /= g[big].max(axis=1, keepdims=True)
+        sums[big] = g[big].sum(axis=1)
     for i in np.nonzero(sums == 0.0)[0]:  # float underflow only; keep deterministic
         g[i, :] = 1.0
         sums[i] = float(n)

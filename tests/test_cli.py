@@ -1,6 +1,7 @@
 """End-to-end subcommand tests driven through main(argv)."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -10,11 +11,12 @@ from pathlib import Path
 import pytest
 
 import lazybst
-from lazybst import SearchSequence, build_balanced
+from lazybst import SearchSequence, build_balanced, build_multitree, \
+    frequencies_from_sequence
 from lazybst.cli import main
-from lazybst.fileio import (read_freq, read_tree, read_weights, write_sequence,
-                            write_tree, write_weights)
-from support import HUGE_FREQ, WRAPPING_FREQ
+from lazybst.fileio import (read_freq, read_sequence, read_tree, read_weights,
+                            write_sequence, write_tree, write_weights)
+from support import HUGE_FREQ, WRAPPING_FREQ, search_costs
 
 
 def run(capsys, *argv):
@@ -75,6 +77,18 @@ def test_gen_bad_parameters_are_usage_errors(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "", argv
         assert err.count("\n") == 1 and err.startswith("error: ") and flag in err, argv
+
+
+def test_gen_markov_rows_summing_past_the_float_range(tmp_path, capsys):
+    # Gamma draws near 1e308 are finite but their row sums overflow; the
+    # rows are rescaled, with no numpy warning (tier-1 runs warnings as
+    # errors) and no "rows must sum to 1" refusal.
+    out = tmp_path / "x.seq"
+    for c in ("1e308", "1.7976931348623157e308"):
+        code, stdout, err = run(capsys, "gen", "--kind", "markov", "--n", "5", "--m", "5",
+                                "--seed", "1", "--concentration", c, "--out", str(out))
+        assert (code, stdout, err) == (0, "", ""), c
+        assert out.read_text() == "5 5\n1 4 1 5 1\n"
 
 
 def test_gen_sizes_end_in_a_file_or_one_error_line(tmp_path, capsys):
@@ -243,16 +257,67 @@ def test_universe_over_memory_budget_is_usage_error(tmp_path, capsys):
                "--seed", "1", "--out", str(seq))[0] == 0
     freq = tmp_path / "x.freq"
     freq.write_text("100000 2 1 2\n1 1" + " 0" * 99998 + "\n1 2 1\n")
-    for argv in (["stats", "--seq", str(seq)],
-                 ["opt", "--method", "lazy", "--seq", str(seq)],
+    # stats and multitree need no n-squared table; see
+    # test_large_universe_runs_under_a_memory_cap.
+    for argv in (["opt", "--method", "lazy", "--seq", str(seq)],
                  ["opt", "--method", "root", "--seq", str(seq)],
                  ["opt", "--method", "lazy", "--freq", str(freq)],
-                 ["multitree", "--seq", str(seq), "--d", "1"],
                  ["gen", "--kind", "markov", "--n", "100000", "--m", "2", "--seed", "1"]):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "", argv
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "n=100000 needs" in err
+
+
+def test_large_universe_runs_under_a_memory_cap(tmp_path):
+    """At n = 10^5 an (n+1)^2 int64 table is 80 GB.  The commands that
+    need none run in a child process whose address space is capped at
+    512 MiB, so a stray n-squared allocation fails at once."""
+    script = ("import json, resource, sys\n"
+              "cap = 512 * 2**20\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+              "import contextlib, io\n"
+              "from lazybst.cli import main\n"
+              "done = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    out, err = io.StringIO(), io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+              "        done.append([main(argv), out.getvalue(), err.getvalue()])\n"
+              "print(json.dumps(done))\n")
+    seq, tree, weights = (str(tmp_path / f) for f in ("x.seq", "b.tree", "b.weights"))
+    far = str(tmp_path / "far.seq")
+    argvs = [["gen", "--kind", "uniform", "--n", "100000", "--m", "50", "--seed", "1",
+              "--out", seq],
+             ["build", "--kind", "balanced", "--n", "100000", "--out", tree],
+             ["weights", "--tree", tree, "--out", weights],
+             ["eval", "--method", "lazy", "--tree", tree, "--seq", seq],
+             ["bound", "--weights", weights, "--seq", seq],
+             ["stats", "--seq", seq],
+             ["multitree", "--seq", seq, "--d", "1"],
+             ["gen", "--kind", "sequential", "--n", str(10**12), "--m", "5", "--out", far],
+             ["stats", "--seq", far]]
+    # One BLAS thread: per-thread buffers on a many-core machine would
+    # count against the cap.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(lazybst.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    done = json.loads(child.stdout)
+    for (code, out, err), argv in zip(done[:7], argvs):
+        assert code == 0 and err == "", (argv, err)
+    # Pinned values: the sums over the 49 consecutive pairs.
+    assert done[3][1] == ("transition_cost\t1306\ninitial_descent\t16\n"
+                          "total_with_root_start\t1322\nper_search_avg\t26.440000\n")
+    assert done[4][1] == "df_bound\t1433.953212\n"
+    assert grab(done[5][1], "n") == "100000" and grab(done[5][1], "m") == "50"
+    x = read_sequence(Path(seq).read_text())
+    mt = build_multitree(frequencies_from_sequence(x), 1)
+    assert grab(done[6][1], "nodes") == "100049"
+    assert grab(done[6][1], "total_comparisons") == str(sum(search_costs(mt, x)))
+    code, out, err = done[8]
+    assert code == 1 and out == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert f"n={10**12} needs" in err
 
 
 def test_count_file_over_memory_budget_is_read(tmp_path, capsys):

@@ -133,6 +133,28 @@ def test_df_bound_errors():
         df_bound(WeightVector.from_values([1, 1]), SearchSequence(2, []))
 
 
+def test_df_bound_matches_the_sum_over_consecutive_pairs():
+    # df_bound sums count * term over the distinct transitions; the
+    # reference sums one term per consecutive pair, in sequence order.
+    # Float64 sums in another order agree to a few ulps per term.
+    rng = random.Random(9)
+    for _ in range(60):
+        n = rng.randint(1, 30)
+        span = rng.choice([1, 20, 200])
+        w = WeightVector.from_values([10.0 ** rng.uniform(-span, span) for _ in range(n)])
+        pool = [rng.randint(1, n) for _ in range(rng.randint(1, 4))]
+        items = [rng.choice(pool) for _ in range(rng.randint(1, 400))]
+        expect = 0.0
+        for a, b in zip(items, items[1:]):
+            if a != b:
+                lo, hi = min(a, b), max(a, b)
+                wa, wb = float(w.w[a]), float(w.w[b])
+                total = max(float(w.prefix[hi] - w.prefix[lo - 1]), wa + wb)
+                expect += math.log2(total) - math.log2(min(wa, wb))
+        assert math.isclose(df_bound(w, SearchSequence(n, items)), expect,
+                            rel_tol=1e-12, abs_tol=1e-12)
+
+
 def test_df_bound_terms_nonnegative_even_for_wild_weights():
     rng = random.Random(7)
     for _ in range(20):

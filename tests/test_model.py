@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lazybst import (InvalidInputError, SearchSequence, StaticTree,
                      UsageError, build_balanced, build_tree, validate_tree)
+from lazybst import model
 from lazybst.fileio import read_freq
 from lazybst.model import MEMORY_BUDGET, subtree_intervals, tree_from_splits
 from lazybst.optimize import _interval_dp, cut_table
@@ -222,7 +223,6 @@ def test_memory_budget_refuses_before_allocating():
     n = 100_000   # an (n+1)^2 int64 table is 80 GB
     freq = f"{n} 2 1 2\n1 1" + " 0" * (n - 2) + "\n1 2 1\n"
     calls = [
-        ("count table", lambda: frequencies_from_sequence(SearchSequence(n, [1, 2]))),
         ("count table", lambda: read_freq(freq).pair),
         ("cut table", lambda: cut_table(read_freq(freq))),
         ("interval DP tables", lambda: _interval_dp(n, None)),
@@ -249,6 +249,37 @@ def test_memory_budget_refuses_before_allocating():
         tracemalloc.stop()
     assert peak < 64 * 2**20
     assert (s.n, s.a.tolist(), s.b.tolist(), s.count.tolist()) == (n, [1], [2], [1])
+    # Past the budget a sequence's transitions are counted by sorting:
+    # memory in m and n, not n^2.
+    items = [1, n, 2, n, 1, 2, n, n]
+    tracemalloc.start()
+    try:
+        s = frequencies_from_sequence(SearchSequence(n, items))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert list(zip(s.a.tolist(), s.b.tolist(), s.count.tolist())) == \
+        [(1, 2, 1), (1, n, 1), (2, n, 2), (n, 1, 1), (n, 2, 1), (n, n, 1)]
+    assert (s.searches[[1, 2, n]].tolist(), s.first, s.last) == ([2, 2, 4], 1, n)
+
+
+def test_count_table_sort_path_matches_bincount(monkeypatch):
+    # A budget just under 9 (n+1)^2 bytes sends stats down the sort path.
+    rng = random.Random(71)
+    for _ in range(40):
+        n = rng.randint(1, 30)
+        items = [rng.randint(1, n) for _ in range(rng.choice([0, 1, 2, rng.randint(3, 300)]))]
+        dense = SearchSequence(n, items).stats
+        with monkeypatch.context() as mp:
+            mp.setattr(model, "MEMORY_BUDGET", 9 * (n + 1) ** 2 - 1)
+            sparse = SearchSequence(n, items).stats
+        for name in ("a", "b", "count", "searches"):
+            got = getattr(sparse, name)
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert got.tolist() == getattr(dense, name).tolist(), name
+        assert (sparse.n, sparse.m, sparse.first, sparse.last) == \
+            (dense.n, dense.m, dense.first, dense.last)
     # n = 2048 passes the count-table and cut-table checks
     s = frequencies_from_sequence(SearchSequence(2048, [1, 2048, 1]))
     assert cut_table(s).nbytes < MEMORY_BUDGET

@@ -165,3 +165,34 @@ def test_count_table_total_equals_per_search_walk():
     x = SearchSequence(6, [3, 3, 1, 6, 3, 3, 2])
     mt = build_multitree(frequencies_from_sequence(SearchSequence(6, [1, 2, 3, 1, 2])), 2)
     assert run_multitree(mt, x) == sum(search_costs(mt, x))
+
+
+def test_every_transition_costs_its_probe_plus_the_miss_descent():
+    # run_multitree on the two searches a, b costs the descent to a plus
+    # the transition a -> b alone.
+    rng = random.Random(8)
+    checked = misses_outside = no_successors = 0
+    for n in (1, 2, 5, 17, 40):
+        for kind in ("all", "few"):
+            if kind == "all":
+                x = random_sequence(rng, n, rng.randint(1, 8 * n))
+            else:
+                # a few keys leave most keys without a successor tree
+                pool = [rng.randint(1, n) for _ in range(3)]
+                x = SearchSequence(n, [rng.choice(pool) for _ in range(30)])
+            s = frequencies_from_sequence(x)
+            for d in sorted({1, min(3, n), n}):
+                mt = build_multitree(s, d)
+                gdepth = mt.global_tree.depth
+                for a in range(1, n + 1):
+                    members = mt.succ[a].members
+                    for b in range(1, n + 1):
+                        hit, comparisons = probe(mt.succ[a], b)
+                        expect = comparisons if hit else comparisons + gdepth[b] + 1
+                        got = run_multitree(mt, SearchSequence(n, [a, b])) - gdepth[a] - 1
+                        assert got == expect, (n, d, a, b)
+                        checked += 1
+                        no_successors += not members
+                        if members and not hit and not members[0] < b < members[-1]:
+                            misses_outside += 1
+    assert checked > 5000 and misses_outside > 100 and no_successors > 100
