@@ -5,8 +5,7 @@ array of length ``n + 1`` whose slot 0 is unused padding, and ``0`` is
 the "no node" sentinel for child and parent slots.  A count table's
 transitions are the count file's sorted ``(a, b, count)`` triples of
 the pairs that occur.  Both match the on-disk formats, so nothing ever
-translates between representations; only the cut table reads the
-transitions as a dense (n+1) x (n+1) table, ``SearchStats.pair``.
+translates between representations.
 
 Every subtree of a BST is a key interval, so a tree is a choice of root
 per interval: ``tree_from_splits`` turns such a choice into a tree and
@@ -16,8 +15,9 @@ Every dense table whose size grows with n (a sequence's per-key search
 counts, the dense pair view, the cut and DP tables, the default markov
 matrix) and every generated sequence is first checked against one
 memory budget, ``MEMORY_BUDGET``, by ``check_memory``.  A sequence's
-count table needs no (n+1)^2 table: past the budget its transitions
-are counted by sorting (``SearchSequence.stats``).
+count table needs no (n+1)^2 table: when that table would be large
+next to m or past the budget, its transitions are counted by sorting
+(``SearchSequence.stats``).
 """
 
 from __future__ import annotations
@@ -213,17 +213,17 @@ class SearchSequence:
         """Count table of the sequence, built once and shared.
 
         Each transition a -> b is coded a (n+1) + b.  While the dense
-        (n+1)^2 table and its nonzero mask (9 bytes a cell) fit the
-        budget, the codes are counted into it with one ``np.bincount``,
-        several times faster than sorting at m = 10^6; past it
-        (n >= 15,446) they are sorted and counted with ``np.unique``, in
+        (n+1)^2 table has at most two cells a search and fits the budget
+        with its nonzero mask (9 bytes a cell), the codes are counted
+        into it with one ``np.bincount``, faster than sorting there;
+        otherwise they are sorted and counted with ``np.unique``, in
         memory linear in m.
         """
         n, items, m = self.n, self.items, self.m
         # Once the n+1 per-key counts fit the budget, (n+1)^2 < 2^63.
         check_memory(n, 8 * (n + 1), "per-key search counts")
         first = int(items[0]) if m else 0
-        if 9 * (n + 1) ** 2 > MEMORY_BUDGET:
+        if (n + 1) ** 2 > 2 * m or 9 * (n + 1) ** 2 > MEMORY_BUDGET:
             code, count = np.unique(items[:-1] * (n + 1) + items[1:], return_counts=True)
             searches = np.bincount(items, minlength=n + 1)
         else:
@@ -269,7 +269,8 @@ class SearchStats:
     @cached_property
     def pair(self) -> np.ndarray:
         """Dense read-only view: ``pair[a, b]`` counts a -> b, row and
-        column 0 are zero.  Built on first use, for the cut table."""
+        column 0 are zero.  Built on first use; no package function
+        reads it, it is there for callers that index the table."""
         n = self.n
         check_memory(n, 8 * (n + 1) ** 2, "count table")
         pair = np.zeros((n + 1, n + 1), dtype=np.int64)

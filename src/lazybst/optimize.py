@@ -5,12 +5,9 @@ a tree's cost in either model is the sum, over its non-root nodes v, of
 a weight of the key interval subtree(v).  For the lazy finger that
 weight is ``cut_table``, the transitions with exactly one endpoint in
 the interval, since a transition crosses the edge above v exactly when
-one of its endpoints lies in subtree(v); it is the one reader of the
-count table's dense view, ``SearchStats.pair``.  For the root finger the
-weight is the search count.  The kernel does O(n^3) work on vectorized diagonals.
-For the root model that trades the O(n^2) monotone-root-window scan for
-one code path: on a 2-vCPU machine it was faster up to n=1024 (0.52 s
-against 0.69 s) and about 10% slower at n=2048 (5.4 s against 5.0 s).
+one of its endpoints lies in subtree(v); it is built from the count
+table's triples in one table.  For the root finger the weight is the
+search count.  The kernel does O(n^3) work on vectorized diagonals.
 All tie-breaks prefer the smallest root per interval, which makes every
 optimizer deterministic.
 
@@ -72,19 +69,26 @@ def cut_table(s: SearchStats) -> np.ndarray:
     """``cut[i, j]`` (0 <= i <= j <= n): transitions with exactly one
     endpoint in the key interval i+1..j; entries with i > j are junk.
 
-    With ``g = pair + pair^T`` and P its 2D prefix sums, the cut is the
-    row total of g over the interval minus g summed over the square
-    interval x interval.
+    With P the 2D prefix sums of the count table and ``g = pair +
+    pair^T``, g's prefix sums are ``P + P^T`` and the cut is the row
+    total of g over the interval minus g summed over the square
+    interval x interval.  All of it is built in one table, in place.
     """
     n = s.n
-    # at most five (n+1)^2 int64 tables alive at once
-    check_memory(n, 40 * (n + 1) ** 2, "cut table")
-    g = s.pair[1:, 1:] + s.pair[1:, 1:].T
-    P = np.zeros((n + 1, n + 1), dtype=np.int64)
-    P[1:, 1:] = g.cumsum(axis=0).cumsum(axis=1)
-    rows = P[:, n]                 # rows[i] = sum of g over rows 1..i
-    d = np.diagonal(P)             # d[i] = sum of g over (1..i) x (1..i)
-    return rows[None, :] - rows[:, None] - (d[None, :] + d[:, None] - 2 * P)
+    # the table itself; measured peak 8.0-8.5 bytes a cell from n = 384 up
+    check_memory(n, 9 * (n + 1) ** 2, "cut table")
+    cut = np.zeros((n + 1, n + 1), dtype=np.int64)
+    cut[s.a, s.b] = s.count
+    np.cumsum(cut, axis=0, out=cut)
+    np.cumsum(cut, axis=1, out=cut)
+    rows = cut[:, n] + cut[n, :]   # rows[i] = sum of g over rows 1..i
+    for i in range(n + 1):         # upper triangle of P + P^T
+        cut[i, i:] += cut[i:, i]
+    d = np.diagonal(cut).copy()    # d[i] = sum of g over (1..i) x (1..i)
+    cut *= 2
+    cut += rows - d
+    cut -= (rows + d)[:, None]
+    return cut
 
 
 def optimal_lazy_dp(s: SearchStats) -> OptResult:
@@ -107,27 +111,18 @@ def mehlhorn_build(w: WeightVector) -> StaticTree:
     """Weight-bisection tree: each interval's root minimizes the absolute
     difference between left and right subtree weight, ties to the
     smaller key.  Guarantees depth(j) <= 2 + 1.45 lg(W / w_j)."""
-    prefix = w.prefix
+    prefix = w.prefix.tolist()
+    # g(r) = left weight - right weight = mid[r-1] - (prefix[lo-1] +
+    # prefix[hi]) is increasing in r; |g| is least at its sign change.
+    mid = (w.prefix[:-1] + w.prefix[1:]).tolist()
 
     def pick(lo: int, hi: int) -> int:
-        # g(r) = left weight - right weight is strictly increasing in r;
-        # the minimizer of |g| is at the sign change.
         target = prefix[lo - 1] + prefix[hi]
-        a, b = lo, hi
-        while a < b:  # smallest r with prefix[r-1] + prefix[r] >= target
-            mid = (a + b) // 2
-            if prefix[mid - 1] + prefix[mid] >= target:
-                b = mid
-            else:
-                a = mid + 1
-        r = a
-        if prefix[r - 1] + prefix[r] < target:
-            return r  # every split leans left; r == hi
-        if r > lo:
-            g_r = (prefix[r - 1] + prefix[r]) - target
-            g_prev = target - (prefix[r - 2] + prefix[r - 1])
-            if g_prev <= g_r:
-                return r - 1
+        r = bisect.bisect_left(mid, target, lo - 1, hi) + 1  # first g(r) >= 0
+        if r > hi:
+            return hi  # every split leans left
+        if r > lo and target - mid[r - 2] <= mid[r - 1] - target:
+            return r - 1
         return r
 
     return tree_from_splits(w.n, pick)

@@ -113,14 +113,15 @@ def generate(spec: GeneratorSpec) -> SearchSequence:
         k = spec.k if spec.k is not None else max(1, math.ceil(math.log2(n)))
         if not (1 <= k <= n):
             raise UsageError(f"rounds needs k in 1..{n}, got {k}")
-        # Every round draws from all n keys and searches n times.
-        check_memory(n, ITEM_BYTES * n, "a round of n searches")
+        # numpy picks k of n keys from a shuffled arange of all n when
+        # k > n / 50 (9 bytes a key), else by Floyd's method (< 40 a pick).
+        check_memory(n, 9 * n if 50 * k > n else 40 * k, f"a round's {k} picks")
         chunks = []
         have = 0
         while have < m:
-            picks = rng.choice(np.arange(1, n + 1, dtype=np.int64), size=k,
-                               replace=False)
-            repeats = picks[rng.integers(0, k, size=n)]
+            picks = rng.choice(n, size=k, replace=False) + 1
+            # The last round draws only the repeats that fit in m.
+            repeats = picks[rng.integers(0, k, size=min(n, max(m - have - k, 0)))]
             chunks.append(picks)
             chunks.append(repeats)
             have += k + n

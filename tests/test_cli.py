@@ -94,11 +94,14 @@ def test_gen_markov_rows_summing_past_the_float_range(tmp_path, capsys):
 def test_gen_sizes_end_in_a_file_or_one_error_line(tmp_path, capsys):
     out = tmp_path / "x.seq"
     # m-sized work is checked against the budget; n-sized work is gone
-    # from the cyclic kinds and checked for rounds.
+    # from the cyclic kinds and from rounds, which checks its k picks.
     cases = [("--kind uniform --n 5 --m 1000000000000 --seed 1", None),
              ("--kind sequential --n 5 --m 1000000000000", None),
              ("--kind bitrev --n 4 --m 1000000000000", None),
-             ("--kind rounds --n 1000000000000 --m 5 --seed 1", None),
+             ("--kind rounds --n 1000000000000 --k 100000000000 --m 5 --seed 1", None),
+             ("--kind rounds --n 1000000000000 --m 5 --seed 1",
+              "1000000000000 5\n453497889470 623489755534 961657193650 485190974424 "
+              "827702593794\n"),
              ("--kind sequential --n 1000000000000 --m 5",
               "1000000000000 5\n1 2 3 4 5\n"),
              (f"--kind bitrev --n {2**40} --m 5",
@@ -424,6 +427,26 @@ def test_compare_table_and_optimality_rows(tmp_path, capsys):
     assert int(table["opt-lazy"][1]) <= int(table["balanced-lazy"][1])
     assert int(table["opt-root"][1]) <= int(table["mehlhorn-root"][1])
     assert "df_bound=" in table["opt-lazy"][3]
+
+
+def test_optimizers_do_not_build_the_dense_pair_view(tmp_path, capsys, monkeypatch):
+    seq = tmp_path / "x.seq"
+    freq = tmp_path / "x.freq"
+    assert run(capsys, "gen", "--kind", "markov", "--n", "24", "--m", "600",
+               "--seed", "2", "--out", str(seq))[0] == 0
+    assert run(capsys, "freq", "--seq", str(seq), "--out", str(freq))[0] == 0
+    argvs = [["opt", "--method", "lazy", "--seq", str(seq)],
+             ["opt", "--method", "lazy", "--freq", str(freq)],
+             ["compare", "--seq", str(seq), "--seed", "3"],
+             ["multitree", "--seq", str(seq), "--d", "4"]]
+    expected = [run(capsys, *argv) for argv in argvs]
+
+    def refuse(self):
+        raise AssertionError("dense pair view built")
+
+    monkeypatch.setattr(lazybst.SearchStats, "pair", property(refuse))
+    for argv, want in zip(argvs, expected):
+        assert want[0] == 0 and run(capsys, *argv) == want, argv
 
 
 def test_compare_requires_seed(tmp_path, capsys):

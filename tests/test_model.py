@@ -264,6 +264,26 @@ def test_memory_budget_refuses_before_allocating():
     assert (s.searches[[1, 2, n]].tolist(), s.first, s.last) == ([2, 2, 4], 1, n)
 
 
+def test_short_sequence_over_a_large_universe_counts_by_sorting():
+    # (n+1)^2 = 16 million cells for 50 searches: the dense count table
+    # would take 144 MB, the sort path memory in m and n.
+    n = 4000
+    items = np.random.default_rng(4).integers(1, n + 1, size=50)
+    tracemalloc.start()
+    try:
+        s = SearchSequence(n, items).stats
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    pairs = {}
+    for a, b in zip(items[:-1].tolist(), items[1:].tolist()):
+        pairs[a, b] = pairs.get((a, b), 0) + 1
+    assert list(zip(s.a.tolist(), s.b.tolist(), s.count.tolist())) == \
+        [(a, b, c) for (a, b), c in sorted(pairs.items())]
+    assert s.searches.tolist() == np.bincount(items, minlength=n + 1).tolist()
+
+
 def test_count_table_sort_path_matches_bincount(monkeypatch):
     # A budget just under 9 (n+1)^2 bytes sends stats down the sort path.
     rng = random.Random(71)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from lazybst import (GeneratorSpec, SearchSequence, SearchStats, UsageError,
                      optimal_lazy_dp, optimal_root_dp, run_lazy_finger,
                      run_root_finger, treap_build, validate_tree, weights_from_tree)
 from lazybst.fileio import write_tree
+from lazybst.model import subtree_intervals
 from lazybst.optimize import cut_table
 from support import (_all_shapes, enumerate_optimal, optimal_lazy_naive,
                      optimal_root_naive, random_pair_stats, random_sequence,
@@ -36,6 +38,26 @@ def test_cut_table_matches_literal_count():
                               for j in range(1, n + 1)
                               if (a <= i <= b) != (a <= j <= b))
                 assert cut[a - 1, b] == literal
+
+
+def test_cut_table_is_one_table_in_place():
+    n = 512
+    rng = np.random.default_rng(12)
+    # every transition occurs: the densest count table of n keys
+    s = stats_from_pair_counts(n, rng.integers(1, 100, size=(n + 1, n + 1)))
+    tracemalloc.start()
+    try:
+        cut = cut_table(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * (n + 1) ** 2
+    assert cut.shape == (n + 1, n + 1) and cut.dtype == np.int64
+    # the whole universe and a single key against the count table
+    assert cut[0, n] == 0
+    pair = s.pair
+    for k in (1, 200, n):
+        assert cut[k - 1, k] == int(pair[k].sum() + pair[:, k].sum() - 2 * pair[k, k])
 
 
 def test_lazy_optimizers_trivial_and_alternating():
@@ -203,6 +225,19 @@ def test_mehlhorn_worked_examples():
     assert mehlhorn_build(WeightVector.from_values([1, 1, 1])).root == 2
     assert mehlhorn_build(WeightVector.from_values([3.5])).n == 1
     assert mehlhorn_build(WeightVector.from_values([8, 1, 1])).root == 1
+
+
+def test_mehlhorn_roots_balance_left_and_right_weight():
+    # Integer weights sum exactly: every subtree root is the first key
+    # of its interval that minimizes |left weight - right weight|.
+    rng = random.Random(32)
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        vals = [rng.randint(1, rng.choice([1, 3, 1000])) for _ in range(n)]
+        t = mehlhorn_build(WeightVector.from_values(vals))
+        for v, lo, hi in subtree_intervals(t):
+            gap = [abs(sum(vals[lo - 1:r - 1]) - sum(vals[r:hi])) for r in range(lo, hi + 1)]
+            assert v == lo + gap.index(min(gap)), (vals, lo, hi)
 
 
 def test_mehlhorn_depth_bound_per_key():
