@@ -11,6 +11,15 @@ search count.  The kernel does O(n^3) work on vectorized diagonals.
 All tie-breaks prefer the smallest root per interval, which makes every
 optimizer deterministic.
 
+Every value the kernel stores is at most the cost of some tree on an
+interval plus its weight: 2 n (total transition count) for the lazy
+finger and n (total searches) for the root finger, taken from the count
+arrays themselves.  The kernel's tables are int32 when that bound is
+below 2^31 and int64 otherwise, with an int16 root table while
+n < 2^15; the lazy optimizer builds its cut table in int64, narrows it
+once to the same width, and checks the narrowed cut and the DP tables
+against the memory budget together, before building either.
+
 Every builder here only picks a root per key interval; the tree itself
 comes from ``model.tree_from_splits``.
 """
@@ -34,7 +43,23 @@ class OptResult:
     cost: int
 
 
-def _interval_dp(n: int, weight: Callable[[int], np.ndarray]) -> OptResult:
+def _cost_dtype(bound: int) -> type[np.signedinteger]:
+    """Width of the DP tables whose every value is at most ``bound``:
+    int32 when that fits, int64 otherwise."""
+    return np.int32 if bound < 2**31 else np.int64
+
+
+def _dp_bytes(n: int, bound: int) -> int:
+    """Bytes ``_interval_dp`` holds at its peak: H, E and buf at the cost
+    width and the root table, 2.25 widths plus 2 bytes a cell, and one
+    byte a cell for the rest: 12 bytes a cell at int32, 21 at int64.  The
+    measured tracemalloc peaks are 11.5 and 21.0 at n = 384, 11.1 and
+    20.2 at n = 1024."""
+    width = np.dtype(_cost_dtype(bound)).itemsize
+    return (9 * width // 4 + (2 if n < 2**15 else 4) + 1) * (n + 1) ** 2
+
+
+def _interval_dp(n: int, weight: Callable[[int], np.ndarray], bound: int) -> OptResult:
     """Cheapest tree on 1..n whose cost is the sum of ``weight`` over the
     subtrees of its non-root nodes.
 
@@ -45,13 +70,19 @@ def _interval_dp(n: int, weight: Callable[[int], np.ndarray]) -> OptResult:
     roots of every interval of one length are scored by one sum of two
     forward slices; argmin returns the first minimum, i.e. the smallest
     root.
+
+    ``bound`` is at least every G value and every sum of two: the tables
+    are int32 when it is below 2^31 and int64 otherwise, and the root
+    table is int16 while n < 2^15.  argmin sees the same integers at
+    either width, so the tree does not depend on it.
     """
-    # H, E, root and buf: 8 + 8 + 4 + 2 bytes per cell
-    check_memory(n, 22 * (n + 1) ** 2, "interval DP tables")
-    H = np.zeros((n + 2, n + 1), dtype=np.int64)     # H[a, len] = G[a, a+len-1]
-    E = np.zeros((n + 1, n + 1), dtype=np.int64)     # E[b, n-len] = G[b-len+1, b]
-    root = np.zeros((n + 2, n + 1), dtype=np.int32)  # root[a, len] - a
-    buf = np.empty((n + 1) ** 2 // 4, dtype=np.int64)
+    check_memory(n, _dp_bytes(n, bound), "interval DP tables")
+    dtype = _cost_dtype(bound)
+    H = np.zeros((n + 2, n + 1), dtype=dtype)     # H[a, len] = G[a, a+len-1]
+    E = np.zeros((n + 1, n + 1), dtype=dtype)     # E[b, n-len] = G[b-len+1, b]
+    # root[a, len] - a
+    root = np.zeros((n + 2, n + 1), dtype=np.int16 if n < 2**15 else np.int32)
+    buf = np.empty((n + 1) ** 2 // 4, dtype=dtype)
     for ln in range(1, n + 1):
         A = n - ln + 1
         total = np.add(H[1:A + 1, :ln], E[ln:n + 1, A:], out=buf[:A * ln].reshape(A, ln))
@@ -94,17 +125,32 @@ def cut_table(s: SearchStats) -> np.ndarray:
 def optimal_lazy_dp(s: SearchStats) -> OptResult:
     """Minimize the lazy-finger transition cost: the interval DP over cut
     weights, since a transition crosses the edge above v exactly when
-    one of its endpoints lies in subtree(v)."""
-    cut = cut_table(s)
-    return _interval_dp(s.n, lambda ln: np.diagonal(cut, ln))
+    one of its endpoints lies in subtree(v).
+
+    A transition adds at most ln to G of an interval of ln keys for each
+    endpoint inside it, so 2 n (total count) bounds the DP's values.
+    The cut table is built in int64 and narrowed once to the DP's width.
+    """
+    n = s.n
+    bound = 2 * n * int(s.count.sum())
+    dtype = _cost_dtype(bound)
+    # Held at once: the narrowed cut and the DP tables, 16 and 29 bytes a
+    # cell (measured peaks 15.5 and 29.0 at n = 384).  Narrowing holds
+    # less: the int64 cut and its int32 copy, 12.
+    check_memory(n, np.dtype(dtype).itemsize * (n + 1) ** 2 + _dp_bytes(n, bound),
+                 "lazy optimizer tables")
+    cut = cut_table(s).astype(dtype, copy=False)
+    return _interval_dp(n, lambda ln: np.diagonal(cut, ln), bound)
 
 
 def optimal_root_dp(s: SearchStats) -> OptResult:
     """Minimize the root-finger cost sum searches(a) * depth(a): the
     interval DP over subtree search weights, since a search for a pays
-    the edge above v exactly when a lies in subtree(v)."""
+    the edge above v exactly when a lies in subtree(v).  A search adds
+    at most ln to G of an interval of ln keys holding its key, so n
+    (total searches) bounds the DP's values."""
     w = np.concatenate(([0], np.cumsum(s.searches[1:], dtype=np.int64)))
-    return _interval_dp(s.n, lambda ln: w[ln:] - w[:-ln])
+    return _interval_dp(s.n, lambda ln: w[ln:] - w[:-ln], s.n * int(w[-1]))
 
 
 def mehlhorn_build(w: WeightVector) -> StaticTree:

@@ -325,10 +325,11 @@ def test_large_universe_runs_under_a_memory_cap(tmp_path):
 
 def test_count_file_over_memory_budget_is_read(tmp_path, capsys):
     # Reading keeps only the listed transitions; each optimizer then names
-    # the first n-squared table it would need.
+    # the n-squared tables it would hold at once (for lazy, the cut table
+    # and the DP tables together).
     freq = tmp_path / "x.freq"
     freq.write_text("100000 2 1 2\n1 1" + " 0" * 99998 + "\n1 2 1\n")
-    for method, what in (("lazy", "cut table"), ("root", "interval DP tables")):
+    for method, what in (("lazy", "lazy optimizer tables"), ("root", "interval DP tables")):
         code, out, err = run(capsys, "opt", "--method", method, "--freq", str(freq))
         assert code == 1 and out == "" and err.count("\n") == 1
         assert err.startswith(f"error: {what} for n=100000 needs ")

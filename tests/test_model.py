@@ -10,7 +10,7 @@ from lazybst import (InvalidInputError, SearchSequence, StaticTree,
 from lazybst import model
 from lazybst.fileio import read_freq
 from lazybst.model import MEMORY_BUDGET, subtree_intervals, tree_from_splits
-from lazybst.optimize import _interval_dp, cut_table
+from lazybst.optimize import _interval_dp, cut_table, optimal_lazy_dp
 from lazybst.seqgen import GeneratorSpec, _default_matrix, frequencies_from_sequence, \
     generate
 from support import (distance_matrix, lca, path_tree, random_pair_stats, random_tree,
@@ -225,7 +225,7 @@ def test_memory_budget_refuses_before_allocating():
     calls = [
         ("count table", lambda: read_freq(freq).pair),
         ("cut table", lambda: cut_table(read_freq(freq))),
-        ("interval DP tables", lambda: _interval_dp(n, None)),
+        ("interval DP tables", lambda: _interval_dp(n, None, 0)),
         ("markov transition matrix",
          lambda: _default_matrix(np.random.default_rng(0), n, 0.2)),
     ]
@@ -262,6 +262,30 @@ def test_memory_budget_refuses_before_allocating():
     assert list(zip(s.a.tolist(), s.b.tolist(), s.count.tolist())) == \
         [(1, 2, 1), (1, n, 1), (2, n, 2), (n, 1, 1), (n, 2, 1), (n, n, 1)]
     assert (s.searches[[1, 2, n]].tolist(), s.first, s.last) == ([2, 2, 4], 1, n)
+
+
+def test_lazy_optimizer_checks_its_tables_once_before_the_cut(monkeypatch):
+    # The lazy optimizer holds the narrowed cut table and the DP tables
+    # at once: 4 + 12 bytes a cell at int32 and 8 + 21 at int64.
+    n = 20
+    cells = (n + 1) ** 2
+    rng = np.random.default_rng(20)
+    for high, per_cell in ((10, 16), (10**7, 29)):
+        s = stats_from_pair_counts(n, rng.integers(0, high, size=(n + 1, n + 1)))
+        want = optimal_lazy_dp(s)
+        with monkeypatch.context() as mp:
+            mp.setattr(model, "MEMORY_BUDGET", per_cell * cells - 1)
+            tracemalloc.start()
+            try:
+                with pytest.raises(UsageError, match=f"lazy optimizer tables for n={n} needs"):
+                    optimal_lazy_dp(s)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * cells, peak   # not even the int64 cut table
+            mp.setattr(model, "MEMORY_BUDGET", per_cell * cells)
+            got = optimal_lazy_dp(s)
+        assert (got.cost, got.tree) == (want.cost, want.tree)
 
 
 def test_short_sequence_over_a_large_universe_counts_by_sorting():

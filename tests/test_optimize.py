@@ -11,6 +11,7 @@ from lazybst import (GeneratorSpec, SearchSequence, SearchStats, UsageError,
                      frequencies_from_sequence, generate, mehlhorn_build,
                      optimal_lazy_dp, optimal_root_dp, run_lazy_finger,
                      run_root_finger, treap_build, validate_tree, weights_from_tree)
+from lazybst import model
 from lazybst.fileio import write_tree
 from lazybst.model import subtree_intervals
 from lazybst.optimize import cut_table
@@ -58,6 +59,101 @@ def test_cut_table_is_one_table_in_place():
     pair = s.pair
     for k in (1, 200, n):
         assert cut[k - 1, k] == int(pair[k].sum() + pair[:, k].sum() - 2 * pair[k, k])
+
+
+def test_lazy_dp_tables_take_16_bytes_a_cell_at_int32_and_30_at_int64():
+    n = 512
+    rng = np.random.default_rng(13)
+    for high, fits, per_cell in ((2, True, 16), (100, False, 30)):
+        s = stats_from_pair_counts(n, rng.integers(0, high, size=(n + 1, n + 1)))
+        assert (2 * n * int(s.count.sum()) < 2**31) == fits
+        tracemalloc.start()
+        try:
+            res = optimal_lazy_dp(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_cell * (n + 1) ** 2, (high, peak / (n + 1) ** 2)
+        assert cost_from_frequencies(res.tree, s) == res.cost
+
+
+def _table_with_total(rng, n, total):
+    """A count table over n keys whose counts sum to ``total``, spread
+    over random pairs (a != b)."""
+    cells = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+    cuts = sorted(rng.randrange(total + 1) for _ in range(len(cells) - 1))
+    pair = np.zeros((n + 1, n + 1), dtype=np.int64)
+    for (a, b), lo, hi in zip(cells, [0] + cuts, cuts + [total]):
+        pair[a, b] = hi - lo
+    return stats_from_pair_counts(n, pair)
+
+
+def test_dp_width_switches_at_the_bound_with_oracle_results(monkeypatch):
+    # The bound is 2 n (total count) for lazy and n (total searches) for
+    # root; tables just below 2^31 run at int32 and just above at int64.
+    # The budget is patched to the int32 figure (lazy optimizer 16 bytes
+    # a cell, root DP 12), which only the int32 side fits.
+    rng = random.Random(2031)
+    for n in (2, 3, 4):
+        for factor, naive, fast, per_cell in ((2 * n, optimal_lazy_naive, optimal_lazy_dp, 16),
+                                              (n, optimal_root_naive, optimal_root_dp, 12)):
+            below = (2**31 - 1) // factor
+            for total, fits in ((below, True), (below + 1, False)):
+                s = _table_with_total(rng, n, total)
+                assert int(s.searches.sum()) == int(s.count.sum()) == total
+                assert (factor * total < 2**31) == fits
+                want, got = naive(s), fast(s)
+                assert got.cost == want.cost, (n, fast.__name__, total)
+                assert write_tree(got.tree) == write_tree(want.tree)
+                with monkeypatch.context() as mp:
+                    mp.setattr(model, "MEMORY_BUDGET", per_cell * (n + 1) ** 2)
+                    if fits:
+                        assert fast(s).cost == want.cost
+                    else:
+                        with pytest.raises(UsageError, match=f"for n={n} needs"):
+                            fast(s)
+    # Costs past 2^31, which int32 tables would wrap.
+    for n in (3, 4):
+        s = _table_with_total(rng, n, 10**9 * n * n)
+        for naive, fast in ((optimal_lazy_naive, optimal_lazy_dp),
+                            (optimal_root_naive, optimal_root_dp)):
+            want, got = naive(s), fast(s)
+            assert want.cost >= 2**31
+            assert got.cost == want.cost and write_tree(got.tree) == write_tree(want.tree)
+
+
+def test_every_dp_value_stays_within_the_width_bound():
+    # The kernel stores G = cost + weight of every interval under every
+    # root it scores, each at most G of some tree on that interval; so
+    # G of every tree on every interval must stay within the bound.
+    rng = random.Random(2032)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        s = random_pair_stats(rng, n, max_count=rng.choice([1, 9, 10**6]))
+        pair = s.pair
+        searches = s.searches.tolist()
+
+        def cut(lo, hi):
+            inside = np.zeros(n + 1, dtype=bool)
+            inside[lo:hi + 1] = True
+            return int(pair[inside][:, ~inside].sum() + pair[~inside][:, inside].sum())
+
+        def g(shape, lo, hi, weight):
+            if shape is None:
+                return 0
+            r, left, right = shape
+            return weight(lo, hi) + g(left, lo, r - 1, weight) + g(right, r + 1, hi, weight)
+
+        lazy_bound = 2 * n * int(s.count.sum())
+        root_bound = n * sum(searches)
+        memo = {}
+        for lo in range(1, n + 1):
+            for hi in range(lo, n + 1):
+                for shape in _all_shapes(lo, hi, memo):
+                    assert g(shape, lo, hi, cut) <= lazy_bound
+                    assert g(shape, lo, hi, lambda a, b: sum(searches[a:b + 1])) <= root_bound
+        assert optimal_lazy_dp(s).cost <= lazy_bound
+        assert optimal_root_dp(s).cost <= root_bound
 
 
 def test_lazy_optimizers_trivial_and_alternating():
