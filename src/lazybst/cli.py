@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import fileio
@@ -23,17 +22,6 @@ from .multitree import build_multitree, node_count, run_multitree
 from .optimize import mehlhorn_build, optimal_lazy_dp, optimal_root_dp, treap_build
 from .seqgen import RANDOM_KINDS, GeneratorSpec, KINDS, frequencies_from_sequence, \
     generate
-
-
-@dataclass(frozen=True)
-class CompareRow:
-    strategy: str
-    total_cost: int
-    per_search: float
-    bound_refs: str
-
-    def tsv(self) -> str:
-        return f"{self.strategy}\t{self.total_cost}\t{self.per_search:.6f}\t{self.bound_refs}"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -192,43 +180,37 @@ def cmd_compare(args) -> int:
     h = entropy(s)
     hc = conditional_entropy(s) if m >= 2 else 0.0
     d = args.d if args.d is not None else min(16, x.n)
+    mt = build_multitree(s, d)   # refuses a bad --d before the exact DPs run
 
-    rows: list[CompareRow] = []
+    rows = []   # (strategy, total, notes)
 
     bal = build_balanced(x.n)
-    t = run_lazy_finger(bal, x).transition_cost
-    rows.append(CompareRow("balanced-lazy", t, t / m, f"model=edges;H_c={hc:.6f}"))
+    rows.append(("balanced-lazy", run_lazy_finger(bal, x).transition_cost,
+                 f"model=edges;H_c={hc:.6f}"))
 
     opt_lazy = optimal_lazy_dp(s)
     w4 = weights_from_tree(opt_lazy.tree)
     df = df_bound(w4, x)
-    rows.append(CompareRow("opt-lazy", opt_lazy.cost, opt_lazy.cost / m,
-                           f"model=edges;H_c={hc:.6f};df_bound={df:.6f}"))
+    rows.append(("opt-lazy", opt_lazy.cost, f"model=edges;H_c={hc:.6f};df_bound={df:.6f}"))
 
     opt_root = optimal_root_dp(s)
-    rows.append(CompareRow("opt-root", opt_root.cost, opt_root.cost / m,
-                           f"model=edges;H={h:.6f}"))
+    rows.append(("opt-root", opt_root.cost, f"model=edges;H={h:.6f}"))
 
     # Mehlhorn needs strictly positive weights; add-one smoothing covers
     # keys the sequence never touches.
-    smooth = WeightVector.from_values([int(c) + 1 for c in s.searches[1:]])
-    meh = mehlhorn_build(smooth)
-    t = run_root_finger(meh, x).transition_cost
-    rows.append(CompareRow("mehlhorn-root", t, t / m, f"model=edges;H={h:.6f}"))
+    meh = mehlhorn_build(WeightVector.from_values(s.searches[1:] + 1))
+    rows.append(("mehlhorn-root", run_root_finger(meh, x).transition_cost,
+                 f"model=edges;H={h:.6f}"))
 
     treap = treap_build(w4, args.seed)
-    t = run_lazy_finger(treap, x).transition_cost
-    rows.append(CompareRow("treap-lazy", t, t / m,
-                           f"model=edges;seed={args.seed};df_bound={df:.6f}"))
+    rows.append(("treap-lazy", run_lazy_finger(treap, x).transition_cost,
+                 f"model=edges;seed={args.seed};df_bound={df:.6f}"))
 
-    mt = build_multitree(s, d)
-    t = run_multitree(mt, x)
-    rows.append(CompareRow("multitree", t, t / m,
-                           f"model=comparisons;d={d};H_c={hc:.6f}"))
+    rows.append(("multitree", run_multitree(mt, x), f"model=comparisons;d={d};H_c={hc:.6f}"))
 
     print("strategy\ttotal\tper_search\tnotes")
-    for row in rows:
-        print(row.tsv())
+    for strategy, total, notes in rows:
+        print(f"{strategy}\t{total}\t{total / m:.6f}\t{notes}")
     return 0
 
 

@@ -10,7 +10,6 @@ cost it bounds, ``df_bound`` is a function of the count table's
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ class WeightVector:
 
     @classmethod
     def from_values(cls, values) -> "WeightVector":
-        vals = np.asarray(list(values), dtype=np.float64)
+        vals = np.asarray(values, dtype=np.float64)
         n = int(vals.size)
         if n < 1:
             raise InvalidInputError("weight vector must be nonempty")
@@ -79,8 +78,7 @@ def weights_from_tree(t: StaticTree) -> WeightVector:
     These are exact powers of two (built with ldexp), so the weight
     vector of a tree round-trips through text exactly.
     """
-    vals = [math.ldexp(1.0, -2 * t.depth[k]) for k in range(1, t.n + 1)]
-    return WeightVector.from_values(vals)
+    return WeightVector.from_values(np.ldexp(1.0, -2 * np.asarray(t.depth[1:])))
 
 
 def df_bound(w: WeightVector, x: SearchSequence) -> float:

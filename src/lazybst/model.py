@@ -8,8 +8,11 @@ the pairs that occur.  Both match the on-disk formats, so nothing ever
 translates between representations.
 
 Every subtree of a BST is a key interval, so a tree is a choice of root
-per interval: ``tree_from_splits`` turns such a choice into a tree and
-``subtree_intervals`` reads the intervals back out of one.
+per interval: ``tree_from_splits`` turns such a choice into a tree, in
+one walk, and ``subtree_intervals`` reads the intervals back out of one.
+Every tree the package makes comes from ``tree_from_splits``;
+``build_tree`` only reads child tables given from outside, such as a
+tree file's.
 
 Every dense table whose size grows with n (a sequence's per-key search
 counts, the dense pair view, the cut and DP tables, the default markov
@@ -51,8 +54,8 @@ class StaticTree:
 
     ``left``/``right`` hold child keys (0 = none).  ``depth`` is the
     edge distance from the root and ``parent`` the parent key (0 for the
-    root); both are derived from the children and kept consistent by the
-    constructors in this module.
+    root); ``tree_from_splits`` sets both as it places each key, and
+    ``build_tree`` derives them from given children.
     """
 
     n: int
@@ -64,7 +67,9 @@ class StaticTree:
 
 
 def build_tree(n: int, root: int, left, right) -> StaticTree:
-    """Attach derived tables to a child-table description of a tree.
+    """Attach derived tables to a child-table description of a tree given
+    from outside (a tree file, a test); the package's own trees come from
+    ``tree_from_splits``.
 
     Raises ValueError if the description is not a single binary tree
     reaching every key exactly once (cycles, out-of-range children,
@@ -106,30 +111,38 @@ def build_tree(n: int, root: int, left, right) -> StaticTree:
 
 def tree_from_splits(n: int, split: Callable[[int, int], int]) -> StaticTree:
     """The tree whose subtree on each key interval lo..hi is rooted at
-    ``split(lo, hi)``, a key in lo..hi.
+    ``split(lo, hi)``, a key in lo..hi; ValueError for any other.
 
     ``split`` is called exactly once per subtree interval, in preorder
     (node, then left subinterval, then right), so a split that consumes
-    random draws gives the same tree for the same generator state.
+    random draws gives the same tree for the same generator state.  The
+    intervals partition 1..n, so every key is placed exactly once, with
+    its depth and parent.
     """
     left = [0] * (n + 1)
     right = [0] * (n + 1)
+    depth = [0] * (n + 1)
+    parent = [0] * (n + 1)
     root = 0
-    stack = [(1, n, 0)]
+    stack = [(1, n, 0, 0)]
     while stack:
-        lo, hi, parent = stack.pop()
+        lo, hi, p, d = stack.pop()
         r = split(lo, hi)
-        if parent == 0:
+        if not lo <= r <= hi:
+            raise ValueError(f"split {r} outside the interval {lo}..{hi}")
+        if p == 0:
             root = r
-        elif r < parent:
-            left[parent] = r
+        elif r < p:
+            left[p] = r
         else:
-            right[parent] = r
+            right[p] = r
+        parent[r] = p
+        depth[r] = d
         if r < hi:
-            stack.append((r + 1, hi, r))
+            stack.append((r + 1, hi, r, d + 1))
         if lo < r:
-            stack.append((lo, r - 1, r))
-    return build_tree(n, root, left, right)
+            stack.append((lo, r - 1, r, d + 1))
+    return StaticTree(n, root, tuple(left), tuple(right), tuple(depth), tuple(parent))
 
 
 def subtree_intervals(t: StaticTree) -> list[tuple[int, int, int]] | None:

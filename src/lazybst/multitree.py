@@ -71,7 +71,7 @@ def build_multitree(s: SearchStats, d: int) -> MultiTree:
             succ.append(empty)
             continue
         keep = np.sort(lo + np.lexsort((s.b[lo:hi], -s.count[lo:hi]))[:d])
-        shape = mehlhorn_build(WeightVector.from_values(s.count[keep].tolist()))
+        shape = mehlhorn_build(WeightVector.from_values(s.count[keep]))
         succ.append(SuccessorTree(tuple(s.b[keep].tolist()), shape))
     return MultiTree(n=n, d=d, global_tree=build_balanced(n), succ=tuple(succ))
 

@@ -16,9 +16,9 @@ interval plus its weight: 2 n (total transition count) for the lazy
 finger and n (total searches) for the root finger, taken from the count
 arrays themselves.  The kernel's tables are int32 when that bound is
 below 2^31 and int64 otherwise, with an int16 root table while
-n < 2^15; the lazy optimizer builds its cut table in int64, narrows it
-once to the same width, and checks the narrowed cut and the DP tables
-against the memory budget together, before building either.
+n < 2^15.  The lazy optimizer's cut table is built at the same width,
+and the cut and the DP tables are checked against the memory budget
+together, before either is built.
 
 Every builder here only picks a root per key interval; the tree itself
 comes from ``model.tree_from_splits``.
@@ -47,6 +47,12 @@ def _cost_dtype(bound: int) -> type[np.signedinteger]:
     """Width of the DP tables whose every value is at most ``bound``:
     int32 when that fits, int64 otherwise."""
     return np.int32 if bound < 2**31 else np.int64
+
+
+def _lazy_bound(s: SearchStats) -> int:
+    """At least every value the lazy DP stores: a transition adds at most
+    ln to G of an interval of ln keys for each endpoint inside it."""
+    return 2 * s.n * int(s.count.sum())
 
 
 def _dp_bytes(n: int, bound: int) -> int:
@@ -103,15 +109,20 @@ def cut_table(s: SearchStats) -> np.ndarray:
     With P the 2D prefix sums of the count table and ``g = pair +
     pair^T``, g's prefix sums are ``P + P^T`` and the cut is the row
     total of g over the interval minus g summed over the square
-    interval x interval.  All of it is built in one table, in place.
+    interval x interval.  All of it is built in one table, in place, at
+    the lazy DP's width.  Array integer arithmetic wraps modulo 2^width
+    and every cut is at most the total count, within the width, so the
+    cuts are exact even where the steps that make them wrap.
     """
     n = s.n
-    # the table itself; measured peak 8.0-8.5 bytes a cell from n = 384 up
-    check_memory(n, 9 * (n + 1) ** 2, "cut table")
-    cut = np.zeros((n + 1, n + 1), dtype=np.int64)
+    dtype = _cost_dtype(_lazy_bound(s))
+    # the table itself; measured peaks 4.0-4.3 bytes a cell at int32 and
+    # 8.0-8.5 at int64, from n = 384 up
+    check_memory(n, (np.dtype(dtype).itemsize + 1) * (n + 1) ** 2, "cut table")
+    cut = np.zeros((n + 1, n + 1), dtype=dtype)
     cut[s.a, s.b] = s.count
-    np.cumsum(cut, axis=0, out=cut)
-    np.cumsum(cut, axis=1, out=cut)
+    np.cumsum(cut, axis=0, dtype=dtype, out=cut)
+    np.cumsum(cut, axis=1, dtype=dtype, out=cut)
     rows = cut[:, n] + cut[n, :]   # rows[i] = sum of g over rows 1..i
     for i in range(n + 1):         # upper triangle of P + P^T
         cut[i, i:] += cut[i:, i]
@@ -127,19 +138,15 @@ def optimal_lazy_dp(s: SearchStats) -> OptResult:
     weights, since a transition crosses the edge above v exactly when
     one of its endpoints lies in subtree(v).
 
-    A transition adds at most ln to G of an interval of ln keys for each
-    endpoint inside it, so 2 n (total count) bounds the DP's values.
-    The cut table is built in int64 and narrowed once to the DP's width.
+    The cut table is built at the DP's width, from the same bound.
     """
     n = s.n
-    bound = 2 * n * int(s.count.sum())
-    dtype = _cost_dtype(bound)
-    # Held at once: the narrowed cut and the DP tables, 16 and 29 bytes a
-    # cell (measured peaks 15.5 and 29.0 at n = 384).  Narrowing holds
-    # less: the int64 cut and its int32 copy, 12.
-    check_memory(n, np.dtype(dtype).itemsize * (n + 1) ** 2 + _dp_bytes(n, bound),
-                 "lazy optimizer tables")
-    cut = cut_table(s).astype(dtype, copy=False)
+    bound = _lazy_bound(s)
+    # Held at once: the cut and the DP tables, 16 and 29 bytes a cell
+    # (measured peaks 15.5 and 29.0 at n = 384).
+    check_memory(n, np.dtype(_cost_dtype(bound)).itemsize * (n + 1) ** 2
+                 + _dp_bytes(n, bound), "lazy optimizer tables")
+    cut = cut_table(s)
     return _interval_dp(n, lambda ln: np.diagonal(cut, ln), bound)
 
 
@@ -149,7 +156,7 @@ def optimal_root_dp(s: SearchStats) -> OptResult:
     the edge above v exactly when a lies in subtree(v).  A search adds
     at most ln to G of an interval of ln keys holding its key, so n
     (total searches) bounds the DP's values."""
-    w = np.concatenate(([0], np.cumsum(s.searches[1:], dtype=np.int64)))
+    w = np.cumsum(s.searches)   # slot 0 is always 0
     return _interval_dp(s.n, lambda ln: w[ln:] - w[:-ln], s.n * int(w[-1]))
 
 

@@ -450,6 +450,41 @@ def test_optimizers_do_not_build_the_dense_pair_view(tmp_path, capsys, monkeypat
         assert want[0] == 0 and run(capsys, *argv) == want, argv
 
 
+def test_split_built_trees_do_not_pass_through_build_tree(tmp_path, capsys, monkeypatch):
+    # Every tree the package builds is made in one walk by
+    # tree_from_splits; build_tree only reads child tables from outside.
+    x = lazybst.generate(lazybst.GeneratorSpec("markov", 24, 600, seed=2))
+    s = frequencies_from_sequence(x)
+    w = lazybst.WeightVector.from_values(s.searches[1:] + 1)
+    calls = [lambda: build_balanced(24), lambda: lazybst.mehlhorn_build(w),
+             lambda: lazybst.treap_build(w, 4), lambda: lazybst.optimal_lazy_dp(s).tree,
+             lambda: lazybst.optimal_root_dp(s).tree,
+             lambda: [st.shape for st in build_multitree(s, 4).succ]]
+    expected = [call() for call in calls]
+    seq = seq_file(tmp_path, "x.seq", 24, x.items)
+    want = run(capsys, "compare", "--seq", seq, "--seed", "3")
+
+    def refuse(*args):
+        raise AssertionError("build_tree called")
+
+    monkeypatch.setattr(lazybst.model, "build_tree", refuse)
+    assert [call() for call in calls] == expected
+    assert want[0] == 0 and run(capsys, "compare", "--seq", seq, "--seed", "3") == want
+
+
+def test_compare_refuses_a_bad_d_before_the_optimizers(tmp_path, capsys, monkeypatch):
+    seq = seq_file(tmp_path, "x.seq", 5, [1, 4, 2, 5, 3, 1])
+
+    def refuse(s):
+        raise AssertionError("optimizer ran")
+
+    monkeypatch.setattr(lazybst.cli, "optimal_lazy_dp", refuse)
+    monkeypatch.setattr(lazybst.cli, "optimal_root_dp", refuse)
+    for d in ("0", "6", "-1"):
+        code, out, err = run(capsys, "compare", "--seq", seq, "--seed", "1", "--d", d)
+        assert (code, out) == (1, "") and err == f"error: d must be in 1..5, got {d}\n"
+
+
 def test_compare_requires_seed(tmp_path, capsys):
     seq = seq_file(tmp_path, "x.seq", 2, [1, 2])
     assert run(capsys, "compare", "--seq", seq)[0] == 1

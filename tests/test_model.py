@@ -118,6 +118,17 @@ def test_tree_from_splits_calls_split_once_per_interval_in_preorder():
         assert subtree_intervals(t) == chosen
 
 
+def test_tree_from_splits_refuses_a_split_outside_its_interval():
+    for split in (lambda lo, hi: hi + 1,        # past the right end
+                  lambda lo, hi: lo - 1,        # before the left end
+                  # a key placed already, outside the right subinterval 4..5
+                  lambda lo, hi: 1 if (lo, hi) == (4, 5) else (lo + hi) // 2):
+        with pytest.raises(ValueError, match="outside the interval"):
+            tree_from_splits(5, split)
+    with pytest.raises(ValueError, match="outside the interval 1..0"):
+        tree_from_splits(0, lambda lo, hi: 1)
+
+
 def test_build_tree_rejects_broken_structures():
     with pytest.raises(ValueError):
         build_tree(3, 1, [0, 2, 0, 0], [0, 2, 0, 0])  # key 2 reached twice
@@ -265,8 +276,8 @@ def test_memory_budget_refuses_before_allocating():
 
 
 def test_lazy_optimizer_checks_its_tables_once_before_the_cut(monkeypatch):
-    # The lazy optimizer holds the narrowed cut table and the DP tables
-    # at once: 4 + 12 bytes a cell at int32 and 8 + 21 at int64.
+    # The lazy optimizer holds the cut table, at the DP's width, and the
+    # DP tables at once: 4 + 12 bytes a cell at int32 and 8 + 21 at int64.
     n = 20
     cells = (n + 1) ** 2
     rng = np.random.default_rng(20)

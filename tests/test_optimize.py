@@ -35,10 +35,7 @@ def test_cut_table_matches_literal_count():
         cut = cut_table(s)
         for a in range(1, n + 1):
             for b in range(a, n + 1):
-                literal = sum(int(s.pair[i, j]) for i in range(1, n + 1)
-                              for j in range(1, n + 1)
-                              if (a <= i <= b) != (a <= j <= b))
-                assert cut[a - 1, b] == literal
+                assert cut[a - 1, b] == _literal_cut(s, a, b)
 
 
 def test_cut_table_is_one_table_in_place():
@@ -56,6 +53,60 @@ def test_cut_table_is_one_table_in_place():
     assert cut.shape == (n + 1, n + 1) and cut.dtype == np.int64
     # the whole universe and a single key against the count table
     assert cut[0, n] == 0
+    pair = s.pair
+    for k in (1, 200, n):
+        assert cut[k - 1, k] == int(pair[k].sum() + pair[:, k].sum() - 2 * pair[k, k])
+
+
+def _literal_cut(s, a, b):
+    pair = s.pair
+    n = s.n
+    return sum(int(pair[i, j]) for i in range(1, n + 1) for j in range(1, n + 1)
+               if (a <= i <= b) != (a <= j <= b))
+
+
+def test_cut_table_takes_the_lazy_dp_width():
+    # The lazy DP's bound is 2 n (total count): int32 below 2^31.
+    rng = random.Random(2033)
+    for n in (1, 2, 5):
+        below = (2**31 - 1) // (2 * n)
+        for total, dtype in ((below, np.int32), (below + 1, np.int64)):
+            s = _table_with_total(rng, n, total) if n > 1 else \
+                stats_from_pair_counts(1, [[0, 0], [0, total]])
+            cut = cut_table(s)
+            assert cut.dtype == dtype, (n, total)
+            for a in range(1, n + 1):
+                for b in range(a, n + 1):
+                    assert cut[a - 1, b] == _literal_cut(s, a, b)
+
+
+def test_int32_cut_table_wraps_to_the_exact_cuts():
+    # The steps that make a cut reach a few times the total count, past
+    # the bound 2 n (total count) when n is small.  At n = 1 the upper
+    # triangle of P + P^T is 2 (total), and doubling it passes 2^31;
+    # the final subtraction wraps back to the cut.
+    total = 2**30 - 1
+    s = stats_from_pair_counts(1, [[0, 0], [0, total]])
+    assert 2 * total < 2**31 <= 4 * total
+    cut = cut_table(s)
+    assert cut.dtype == np.int32
+    assert cut[0, 1] == _literal_cut(s, 1, 1) == 0
+    assert cut[0, 0] == cut[1, 1] == 0   # the empty intervals
+
+
+def test_int32_cut_table_takes_5_bytes_a_cell():
+    n = 512
+    rng = np.random.default_rng(14)
+    s = stats_from_pair_counts(n, rng.integers(0, 8, size=(n + 1, n + 1)))
+    assert 2 * n * int(s.count.sum()) < 2**31
+    tracemalloc.start()
+    try:
+        cut = cut_table(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cut.dtype == np.int32
+    assert peak <= 5 * (n + 1) ** 2, peak / (n + 1) ** 2
     pair = s.pair
     for k in (1, 200, n):
         assert cut[k - 1, k] == int(pair[k].sum() + pair[:, k].sum() - 2 * pair[k, k])
