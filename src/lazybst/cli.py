@@ -9,6 +9,7 @@ given its flags; the randomized ones refuse to run without --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -214,7 +215,9 @@ def cmd_compare(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged."""
     parser = _Parser(prog="lazybst",
                      description="Static BST toolkit for lazy-finger workloads")
     sub = parser.add_subparsers(dest="command", required=True)

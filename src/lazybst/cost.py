@@ -14,6 +14,11 @@ it falls in the sequence, so the lazy cost is a function of the count
 table alone: one such call over its ``(a, b, count)`` triples, weighted
 by count, plus the descent to x_1.  A root-finger cost is one gather
 of depth over the m searches, which is cheaper than counting them.
+
+Both engines read a tree through its depth table alone, so both first
+check it with ``validate_tree`` and refuse, with InvalidInputError, a
+tree that breaks the search order or whose depths disagree with its
+children.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import SearchSequence, SearchStats, StaticTree, subtree_intervals
+from .model import SearchSequence, SearchStats, StaticTree, check_tree
 
 
 @dataclass(frozen=True)
@@ -53,8 +58,7 @@ def path_lengths(t: StaticTree, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     in key order, whose row j holds the minimum of each run of 2^j keys:
     two overlapping runs of 2^k keys cover lo..hi.
     """
-    if subtree_intervals(t) is None:
-        raise InvalidInputError("tree breaks the search order; not a valid BST")
+    check_tree(t)
     depth = np.asarray(t.depth, dtype=np.int64)
     runs = np.empty((t.n.bit_length(), t.n + 1), dtype=np.int64)
     runs[0] = depth
@@ -74,11 +78,9 @@ def path_lengths(t: StaticTree, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def run_root_finger(t: StaticTree, x: SearchSequence) -> CostReport:
     """Total root-finger cost: sum of depths of the searched keys."""
     _check_universe(t.n, x.n)
-    if x.m == 0:
-        return _report(0, 0, 0)
+    check_tree(t)
     depth = np.asarray(t.depth, dtype=np.int64)
-    total = int(depth[x.items].sum())
-    return _report(total, 0, x.m)
+    return _report(int(depth[x.items].sum()), 0, x.m)
 
 
 def run_lazy_finger(t: StaticTree, x: SearchSequence) -> CostReport:
@@ -86,9 +88,8 @@ def run_lazy_finger(t: StaticTree, x: SearchSequence) -> CostReport:
     costed from the sequence's count table, with the initial descent
     from the root to x_1 reported separately."""
     _check_universe(t.n, x.n)
-    if x.m == 0:
-        return _report(0, 0, 0)
-    return _report(cost_from_frequencies(t, x.stats), t.depth[x.items[0]], x.m)
+    transition = cost_from_frequencies(t, x.stats)
+    return _report(transition, t.depth[x.items[0]] if x.m else 0, x.m)
 
 
 def cost_from_frequencies(t: StaticTree, s: SearchStats) -> int:

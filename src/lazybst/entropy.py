@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import SearchSequence, SearchStats, StaticTree
+from .model import SearchSequence, SearchStats, StaticTree, check_tree
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +76,10 @@ def weights_from_tree(t: StaticTree) -> WeightVector:
     """Weight 4^-depth(key) for every key.
 
     These are exact powers of two (built with ldexp), so the weight
-    vector of a tree round-trips through text exactly.
+    vector of a tree round-trips through text exactly.  A tree whose
+    depths disagree with its children is refused (InvalidInputError).
     """
+    check_tree(t)
     return WeightVector.from_values(np.ldexp(1.0, -2 * np.asarray(t.depth[1:])))
 
 

@@ -2,25 +2,26 @@
 
 Keys are always the integers ``1..n``.  Every per-key table is a flat
 array of length ``n + 1`` whose slot 0 is unused padding, and ``0`` is
-the "no node" sentinel for child and parent slots.  A count table's
+the "no node" sentinel for child slots.  A count table's
 transitions are the count file's sorted ``(a, b, count)`` triples of
 the pairs that occur.  Both match the on-disk formats, so nothing ever
 translates between representations.
 
-Every subtree of a BST is a key interval, so a tree is a choice of root
-per interval: ``tree_from_splits`` turns such a choice into a tree, in
-one walk, and ``subtree_intervals`` reads the intervals back out of one.
-Every tree the package makes comes from ``tree_from_splits``;
-``build_tree`` only reads child tables given from outside, such as a
-tree file's.
+A tree is its child tables plus each key's depth; both costs are
+functions of depth alone, so no parent table is kept.  Every subtree of
+a BST is a key interval, so a tree is a choice of root per interval:
+``tree_from_splits`` turns such a choice into a tree, in one walk, and
+``validate_tree`` checks a tree by walking the same intervals.  Every
+tree the package makes comes from ``tree_from_splits``; ``build_tree``
+only reads child tables given from outside, such as a tree file's.
 
 Every dense table whose size grows with n (a sequence's per-key search
 counts, the dense pair view, the cut and DP tables, the default markov
-matrix) and every generated sequence is first checked against one
-memory budget, ``MEMORY_BUDGET``, by ``check_memory``.  A sequence's
-count table needs no (n+1)^2 table: when that table would be large
-next to m or past the budget, its transitions are counted by sorting
-(``SearchSequence.stats``).
+matrix, a balanced tree's tables) and every generated sequence is first
+checked against one memory budget, ``MEMORY_BUDGET``, by
+``check_memory``.  A sequence's count table needs no (n+1)^2 table:
+when that table would be large next to m or past the budget, its
+transitions are counted by sorting (``SearchSequence.stats``).
 """
 
 from __future__ import annotations
@@ -52,10 +53,11 @@ def check_memory(n: int, nbytes: int, what: str) -> None:
 class StaticTree:
     """A fixed binary search tree over keys 1..n.
 
-    ``left``/``right`` hold child keys (0 = none).  ``depth`` is the
-    edge distance from the root and ``parent`` the parent key (0 for the
-    root); ``tree_from_splits`` sets both as it places each key, and
-    ``build_tree`` derives them from given children.
+    ``left``/``right`` hold child keys (0 = none) and ``depth`` the edge
+    distance from the root; ``tree_from_splits`` sets it as it places
+    each key, and ``build_tree`` derives it from given children.  The
+    fields are not checked on construction: ``validate_tree`` does that,
+    and the cost engines refuse a tree it rejects.
     """
 
     n: int
@@ -63,11 +65,10 @@ class StaticTree:
     left: tuple[int, ...]
     right: tuple[int, ...]
     depth: tuple[int, ...]
-    parent: tuple[int, ...]
 
 
 def build_tree(n: int, root: int, left, right) -> StaticTree:
-    """Attach derived tables to a child-table description of a tree given
+    """Attach the depth table to a child-table description of a tree given
     from outside (a tree file, a test); the package's own trees come from
     ``tree_from_splits``.
 
@@ -85,7 +86,6 @@ def build_tree(n: int, root: int, left, right) -> StaticTree:
     if len(left) != n + 1 or len(right) != n + 1:
         raise ValueError("child tables must have length n + 1")
     depth = [0] * (n + 1)
-    parent = [0] * (n + 1)
     seen = [False] * (n + 1)
     seen[root] = True
     stack = [root]
@@ -100,13 +100,12 @@ def build_tree(n: int, root: int, left, right) -> StaticTree:
             if seen[c]:
                 raise ValueError(f"key {c} reached twice")
             seen[c] = True
-            parent[c] = v
             depth[c] = depth[v] + 1
             count += 1
             stack.append(c)
     if count != n:
         raise ValueError("tree does not reach every key")
-    return StaticTree(n, root, left, right, tuple(depth), tuple(parent))
+    return StaticTree(n, root, left, right, tuple(depth))
 
 
 def tree_from_splits(n: int, split: Callable[[int, int], int]) -> StaticTree:
@@ -117,12 +116,11 @@ def tree_from_splits(n: int, split: Callable[[int, int], int]) -> StaticTree:
     (node, then left subinterval, then right), so a split that consumes
     random draws gives the same tree for the same generator state.  The
     intervals partition 1..n, so every key is placed exactly once, with
-    its depth and parent.
+    its depth.
     """
     left = [0] * (n + 1)
     right = [0] * (n + 1)
     depth = [0] * (n + 1)
-    parent = [0] * (n + 1)
     root = 0
     stack = [(1, n, 0, 0)]
     while stack:
@@ -136,54 +134,48 @@ def tree_from_splits(n: int, split: Callable[[int, int], int]) -> StaticTree:
             left[p] = r
         else:
             right[p] = r
-        parent[r] = p
         depth[r] = d
         if r < hi:
             stack.append((r + 1, hi, r, d + 1))
         if lo < r:
             stack.append((lo, r - 1, r, d + 1))
-    return StaticTree(n, root, tuple(left), tuple(right), tuple(depth), tuple(parent))
+    return StaticTree(n, root, tuple(left), tuple(right), tuple(depth))
 
 
-def subtree_intervals(t: StaticTree) -> list[tuple[int, int, int]] | None:
-    """``(v, lo, hi)`` for every node v reached from the root, where
-    lo..hi is the key interval subtree(v) must cover in a BST; None as
-    soon as a key leaves its interval.
+def validate_tree(t: StaticTree) -> bool:
+    """True iff t is a BST over keys 1..n whose depth table matches its
+    child tables.
 
+    One walk over ``(v, lo, hi, d)``: each key reached must lie in the
+    key interval lo..hi its subtree covers and sit at depth d, every
+    table must have n + 1 slots, and all n keys must be reached.
     Sibling intervals are disjoint and a child's interval excludes its
     parent, so no key is visited twice and the walk ends on any child
     table, cyclic or shared ones included.
     """
-    nodes = []
-    stack = [(t.root, 1, t.n)]
+    n, left, right, depth = t.n, t.left, t.right, t.depth
+    if len(left) != n + 1 or len(right) != n + 1 or len(depth) != n + 1:
+        return False
+    reached = 0
+    stack = [(t.root, 1, n, 0)]
     while stack:
-        v, lo, hi = stack.pop()
-        if not (lo <= v <= hi):
-            return None
-        nodes.append((v, lo, hi))
-        if t.right[v] != NO_NODE:
-            stack.append((t.right[v], v + 1, hi))
-        if t.left[v] != NO_NODE:
-            stack.append((t.left[v], lo, v - 1))
-    return nodes
+        v, lo, hi, d = stack.pop()
+        if not lo <= v <= hi or depth[v] != d:
+            return False
+        reached += 1
+        if right[v] != NO_NODE:
+            stack.append((right[v], v + 1, hi, d + 1))
+        if left[v] != NO_NODE:
+            stack.append((left[v], lo, v - 1, d + 1))
+    return reached == n
 
 
-def validate_tree(t: StaticTree) -> bool:
-    """True iff t is a well-formed BST with consistent derived tables."""
-    n = t.n
-    if any(len(tab) != n + 1 for tab in (t.left, t.right, t.depth, t.parent)):
-        return False
-    # Every key inside its interval and n keys reached: a BST over 1..n.
-    nodes = subtree_intervals(t)
-    if nodes is None or len(nodes) != n:
-        return False
-    if t.depth[t.root] != 0 or t.parent[t.root] != NO_NODE:
-        return False
-    for k in range(1, n + 1):
-        for c in (t.left[k], t.right[k]):
-            if c != NO_NODE and (t.parent[c] != k or t.depth[c] != t.depth[k] + 1):
-                return False
-    return True
+def check_tree(t: StaticTree) -> None:
+    """Raise InvalidInputError unless ``validate_tree(t)``: the guard of
+    every function that reads a tree's depths as its costs."""
+    if not validate_tree(t):
+        raise InvalidInputError("tree is not a valid BST: its keys break the search "
+                                "order or its depths disagree with its children")
 
 
 def build_balanced(n: int) -> StaticTree:
@@ -191,6 +183,10 @@ def build_balanced(n: int) -> StaticTree:
     root ceil((lo + hi) / 2)."""
     if n < 1:
         raise UsageError("n must be >= 1")
+    # The only tree whose n no input of that size backs.  Three lists,
+    # their tuples and a key object: 80 bytes a key (tracemalloc peak at
+    # n = 10^5 and 10^6).
+    check_memory(n, 80 * (n + 1), "tree tables")
     return tree_from_splits(n, lambda lo, hi: (lo + hi + 1) // 2)
 
 

@@ -45,7 +45,6 @@ class SuccessorTree:
 @dataclass(frozen=True, eq=False)
 class MultiTree:
     n: int
-    d: int
     global_tree: StaticTree
     succ: tuple[SuccessorTree, ...]   # index 0 unused
 
@@ -73,7 +72,7 @@ def build_multitree(s: SearchStats, d: int) -> MultiTree:
         keep = np.sort(lo + np.lexsort((s.b[lo:hi], -s.count[lo:hi]))[:d])
         shape = mehlhorn_build(WeightVector.from_values(s.count[keep]))
         succ.append(SuccessorTree(tuple(s.b[keep].tolist()), shape))
-    return MultiTree(n=n, d=d, global_tree=build_balanced(n), succ=tuple(succ))
+    return MultiTree(n=n, global_tree=build_balanced(n), succ=tuple(succ))
 
 
 def probe(st: SuccessorTree, target: int) -> tuple[bool, int]:

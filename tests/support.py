@@ -1,20 +1,27 @@
 """Shared helpers for the test suite: random instances, fixed count
 files, count tables from dense pair tables, independent oracles (tree
 distances, tree validation, brute-force and exhaustive optimizers, the
-per-search multitree walk), and the Eulerian stitcher that turns a
-count table back into a sequence."""
+per-search multitree walk), the Eulerian stitcher that turns a count
+table back into a sequence, and the seeded fuzz of the command line."""
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import math
 import random
+import traceback
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
 from lazybst import (InvalidInputError, MultiTree, NO_NODE, OptResult, SearchSequence,
                      SearchStats, StaticTree, UsageError, build_tree,
                      cost_from_frequencies, frequencies_from_sequence, probe)
+from lazybst.cli import build_parser, main
+from lazybst.fileio import write_matrix
 from lazybst.model import tree_from_splits
 
 # Count files whose totals wrap in int64 (they pass every identity there),
@@ -131,19 +138,60 @@ def random_pair_stats(rng: random.Random, n: int, max_count: int = 9) -> SearchS
     return stats_from_pair_counts(n, pair)
 
 
+def subtree_intervals(t: StaticTree) -> list[tuple[int, int, int]] | None:
+    """``(v, lo, hi)`` for every node v reached from the root, where
+    lo..hi is the key interval subtree(v) must cover in a BST; None as
+    soon as a key leaves its interval.
+
+    Sibling intervals are disjoint and a child's interval excludes its
+    parent, so no key is visited twice and the walk ends on any child
+    table, cyclic or shared ones included.
+    """
+    nodes = []
+    stack = [(t.root, 1, t.n)]
+    while stack:
+        v, lo, hi = stack.pop()
+        if not (lo <= v <= hi):
+            return None
+        nodes.append((v, lo, hi))
+        if t.right[v] != NO_NODE:
+            stack.append((t.right[v], v + 1, hi))
+        if t.left[v] != NO_NODE:
+            stack.append((t.left[v], lo, v - 1))
+    return nodes
+
+
+def parents(t: StaticTree) -> list[int]:
+    """Parent key of every key (0 for the root), read from the child
+    tables of a valid tree.  A tree carries no parent table, so the
+    ancestor-walk oracles derive one the first time they see a tree and
+    keep it on the tree for the later steps."""
+    table = vars(t).get("_parents")
+    if table is None:
+        table = [NO_NODE] * (t.n + 1)
+        for k in range(1, t.n + 1):
+            for c in (t.left[k], t.right[k]):
+                if c != NO_NODE:
+                    table[c] = k
+        object.__setattr__(t, "_parents", table)
+    return table
+
+
 def walk_step_oracle(t: StaticTree, i: int, j: int) -> int:
-    """Path length by ancestor sets; shares no code with step_cost/lca."""
+    """Path length by ancestor sets; shares only the parent table with
+    step_cost/lca."""
+    parent = parents(t)
     up_i = {}
     v, d = i, 0
     while True:
         up_i[v] = d
         if v == t.root:
             break
-        v = t.parent[v]
+        v = parent[v]
         d += 1
     v, d = j, 0
     while v not in up_i:
-        v = t.parent[v]
+        v = parent[v]
         d += 1
     return d + up_i[v]
 
@@ -153,6 +201,7 @@ def closed_form_lazy_total(t: StaticTree, x: SearchSequence) -> int:
     x_0 = root.  Uses its own LCA-by-ancestor-sets, not the library's."""
     if x.m == 0:
         return 0
+    parent = parents(t)
     items = x.items.tolist()
     total = 0
     prev = t.root
@@ -163,10 +212,10 @@ def closed_form_lazy_total(t: StaticTree, x: SearchSequence) -> int:
             anc.add(v)
             if v == t.root:
                 break
-            v = t.parent[v]
+            v = parent[v]
         v = tgt
         while v not in anc:
-            v = t.parent[v]
+            v = parent[v]
         total += t.depth[tgt] - t.depth[v]
         prev = tgt
     return 2 * total - t.depth[items[-1]]
@@ -220,7 +269,7 @@ def validate_tree_inorder(t: StaticTree) -> bool:
     n = t.n
     if n < 1 or not (1 <= t.root <= n):
         return False
-    for tab in (t.left, t.right, t.depth, t.parent):
+    for tab in (t.left, t.right, t.depth):
         if len(tab) != n + 1:
             return False
     if any(not (0 <= t.left[k] <= n) or not (0 <= t.right[k] <= n)
@@ -243,11 +292,11 @@ def validate_tree_inorder(t: StaticTree) -> bool:
         v = t.right[v]
     if order != list(range(1, n + 1)):
         return False
-    if t.depth[t.root] != 0 or t.parent[t.root] != NO_NODE:
+    if t.depth[t.root] != 0:
         return False
     for k in range(1, n + 1):
         for c in (t.left[k], t.right[k]):
-            if c != NO_NODE and (t.parent[c] != k or t.depth[c] != t.depth[k] + 1):
+            if c != NO_NODE and t.depth[c] != t.depth[k] + 1:
                 return False
     return True
 
@@ -265,13 +314,14 @@ def lca(t: StaticTree, i: int, j: int) -> int:
     """Lowest common ancestor of keys i and j."""
     _check_key(t, i)
     _check_key(t, j)
+    parent = parents(t)
     while t.depth[i] > t.depth[j]:
-        i = t.parent[i]
+        i = parent[i]
     while t.depth[j] > t.depth[i]:
-        j = t.parent[j]
+        j = parent[j]
     while i != j:
-        i = t.parent[i]
-        j = t.parent[j]
+        i = parent[i]
+        j = parent[j]
     return i
 
 
@@ -451,3 +501,113 @@ def search_costs(mt: MultiTree, x: SearchSequence) -> list[int]:
                 costs.append(comparisons + gdepth[target] + 1)
         prev = target
     return costs
+
+
+# -- fuzz of the command line -------------------------------------------------
+
+# Flags naming an input file, by the kind of file each reads.
+_FUZZ_INPUTS = {"--seq": "seq", "--freq": "freq", "--tree": "tree",
+                "--weights": "weights", "--matrix": "matrix"}
+# Small values, and values every size check must refuse before allocating.
+_FUZZ_INTS = ("0", "1", "2", "3", "5", "8", "12", "-1", "-0", "+3", "007",
+              str(2**31), str(2**63 - 1), str(2**63), str(10**12), str(10**30))
+_FUZZ_SMALL = ("1", "2", "3", "5", "6")
+_FUZZ_TOKENS = _FUZZ_INTS + ("x", "1.5", "0.25", "1e3", "nan", "inf", "-inf", "1e300",
+                             "1e-300", "0x10", "٣", "ÿ", "--seq")
+
+
+def _fuzz_file(rng: random.Random, base: str) -> bytes:
+    """Random bytes, random tokens, or ``base`` intact or mutated a few
+    times (a token replaced, dropped or doubled, a byte inserted, the
+    text cut short)."""
+    r = rng.random()
+    if r < 0.1:
+        return rng.randbytes(rng.randint(0, 48))
+    if r < 0.25:
+        seps = (" ", "\n", "\t", "\r\n", "  ")
+        return "".join(rng.choice(_FUZZ_TOKENS) + rng.choice(seps)
+                       for _ in range(rng.randint(0, 16))).encode()
+    toks = base.split(" ")
+    for _ in range(0 if r < 0.6 else rng.randint(1, 3)):
+        i = rng.randrange(len(toks))
+        op = rng.randrange(3)
+        if op == 0:
+            toks[i] = rng.choice(_FUZZ_TOKENS)
+        elif op == 1 and len(toks) > 1:
+            del toks[i]
+        else:
+            toks.insert(i, toks[i])
+    data = " ".join(toks).encode()
+    if rng.random() < 0.1:
+        i = rng.randint(0, len(data))
+        data = data[:i] + rng.randbytes(1) + data[i:]
+    if rng.random() < 0.1:
+        data = data[:rng.randint(0, len(data))]
+    return data
+
+
+def fuzz_main(seed: int, runs: int, workdir: str) -> list[str]:
+    """Run ``main`` ``runs`` times on seeded random argv drawn from the
+    parser's own subcommands, flags and choices, with fuzzed files (from
+    ``_fuzz_file``) behind every input flag.  Returns one description per
+    run that did not end in exit code 0 with no stderr, or 1..3 with one
+    ``error:`` line."""
+    work = Path(workdir)
+    seq, freq, tree, weights = (str(work / f"base.{k}") for k in ("seq", "freq", "tree",
+                                                                 "weights"))
+    for argv in (["gen", "--kind", "markov", "--n", "6", "--m", "24", "--seed", "1",
+                  "--out", seq],
+                 ["freq", "--seq", seq, "--out", freq],
+                 ["opt", "--method", "lazy", "--seq", seq, "--out", tree],
+                 ["weights", "--tree", tree, "--out", weights]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    bases = {kind: (work / f"base.{kind}").read_text() for kind in _FUZZ_INPUTS.values()
+             if kind != "matrix"}
+    bases["matrix"] = write_matrix(np.array([[0.5, 0.5, 0], [0, 0.5, 0.5], [1, 0, 0]]))
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    rng = random.Random(seed)
+    failures = []
+    for run in range(runs):
+        command = rng.choice(sorted(sub.choices))
+        argv = [command] if rng.random() < 0.98 else [rng.choice(_FUZZ_TOKENS)]
+        for action in sub.choices[command]._actions:
+            if rng.random() > (0.01 if "-h" in action.option_strings
+                               else 0.97 if action.required else 0.6):
+                continue
+            flag = rng.choice(action.option_strings)
+            if flag in _FUZZ_INPUTS:
+                path = work / f"in{run}.{_FUZZ_INPUTS[flag]}"
+                path.write_bytes(_fuzz_file(rng, bases[_FUZZ_INPUTS[flag]]))
+                value = (str(path) if rng.random() < 0.9
+                         else rng.choice((str(work), str(work / "missing"))))
+            elif action.nargs == 0:
+                argv.append(flag)
+                continue
+            elif flag in ("--out", "--dump"):
+                value = (str(work / "out") if rng.random() < 0.9
+                         else rng.choice((str(work), str(work / "no/out"))))
+            elif action.choices and rng.random() < 0.9:
+                value = rng.choice(action.choices)
+            else:
+                r = rng.random()
+                value = rng.choice(_FUZZ_SMALL if r < 0.5 else _FUZZ_INTS if r < 0.8
+                                   else _FUZZ_TOKENS)
+            argv += [flag, value]
+        if rng.random() < 0.05:
+            argv.insert(rng.randint(1, len(argv)), rng.choice(_FUZZ_TOKENS))
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        except BaseException:
+            failures.append(f"{argv}: raised\n{traceback.format_exc()}")
+            continue
+        text = err.getvalue()
+        ok = (text == "" if code == 0 else
+              code in (1, 2, 3) and text.startswith("error: ") and text.count("\n") == 1
+              and text.endswith("\n"))
+        if not ok:
+            failures.append(f"{argv}: exit {code}, stderr {text!r}")
+    return failures

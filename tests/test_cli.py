@@ -13,7 +13,7 @@ import pytest
 import lazybst
 from lazybst import SearchSequence, build_balanced, build_multitree, \
     frequencies_from_sequence
-from lazybst.cli import main
+from lazybst.cli import build_parser, main
 from lazybst.fileio import (read_freq, read_sequence, read_tree, read_weights,
                             write_sequence, write_tree, write_weights)
 from support import HUGE_FREQ, WRAPPING_FREQ, search_costs
@@ -532,3 +532,40 @@ def test_help_exits_zero(capsys):
 def test_unknown_subcommand_is_usage(capsys):
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_build_past_the_budget_is_usage_error(tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "build", "--kind", "balanced", "--n", str(10**12),
+                             "--out", str(tmp_path / "t"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: tree tables for n={10**12} needs")
+    assert peak < 2**20 and not (tmp_path / "t").exists()
+
+
+def test_fuzzed_main_ends_in_a_result_or_one_error_line(tmp_path):
+    # Seeded argv over the parser's own flags, with random, token and
+    # mutated files behind the input flags, in a child process under an
+    # address-space cap with warnings as errors.
+    script = ("import json, resource, sys\n"
+              "cap = 512 * 2**20\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+              "from support import fuzz_main\n"
+              "print(json.dumps(fuzz_main(1, 2000, sys.argv[1])))\n")
+    tests = Path(__file__).parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(Path(lazybst.__file__).parents[1]),
+                                           str(tests)]))
+    child = subprocess.run([sys.executable, "-W", "error", "-c", script, str(tmp_path)],
+                           env=env, capture_output=True, text=True, timeout=10)
+    assert child.returncode == 0, child.stderr
+    failures = json.loads(child.stdout)
+    assert failures == [], "\n".join(failures[:5])

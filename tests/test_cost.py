@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 
 from lazybst import (InvalidInputError, SearchSequence,
                      build_balanced, build_tree, cost_from_frequencies,
-                     frequencies_from_sequence, run_lazy_finger, run_root_finger)
+                     frequencies_from_sequence, run_lazy_finger, run_root_finger,
+                     weights_from_tree)
 from support import (caterpillar_tree, closed_form_lazy_total, path_tree, random_sequence,
                      random_tree, stats_from_pair_counts, step_cost, vee_tree)
 
@@ -62,6 +64,24 @@ def test_cost_from_frequencies_rejects_non_bst():
     # Neither search falls off this tree, but the tree is still no BST.
     with pytest.raises(InvalidInputError):
         run_lazy_finger(bad, SearchSequence(3, [3, 1]))
+
+
+def test_every_engine_refuses_depths_that_disagree_with_the_children():
+    # Both costs are read from depth alone, so a depth table the child
+    # tables contradict would give wrong totals (35 and 20 here, where
+    # the balanced tree's are 7 and 4) instead of a refusal.
+    good = build_balanced(3)
+    mangled = replace(good, depth=(0, 5, 0, 5))
+    x = SearchSequence(3, [1, 3, 1, 3])
+    assert run_lazy_finger(good, x).total_with_root_start == 7
+    assert run_root_finger(good, x).total_with_root_start == 4
+    for engine, arg in ((run_lazy_finger, x), (cost_from_frequencies, x.stats),
+                        (run_root_finger, x), (run_root_finger, SearchSequence(3, [])),
+                        (run_lazy_finger, SearchSequence(3, []))):
+        with pytest.raises(InvalidInputError, match="depths disagree"):
+            engine(mangled, arg)
+    with pytest.raises(InvalidInputError, match="depths disagree"):
+        weights_from_tree(mangled)
 
 
 def test_universe_mismatch_errors():

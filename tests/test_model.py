@@ -9,13 +9,13 @@ from lazybst import (InvalidInputError, SearchSequence, StaticTree,
                      UsageError, build_balanced, build_tree, validate_tree)
 from lazybst import model
 from lazybst.fileio import read_freq
-from lazybst.model import MEMORY_BUDGET, subtree_intervals, tree_from_splits
+from lazybst.model import MEMORY_BUDGET, tree_from_splits
 from lazybst.optimize import _interval_dp, cut_table, optimal_lazy_dp
 from lazybst.seqgen import GeneratorSpec, _default_matrix, frequencies_from_sequence, \
     generate
 from support import (distance_matrix, lca, path_tree, random_pair_stats, random_tree,
-                     stats_from_pair_counts, step_cost, validate_tree_inorder, vee_tree,
-                     walk_step_oracle)
+                     stats_from_pair_counts, step_cost, subtree_intervals,
+                     validate_tree_inorder, vee_tree, walk_step_oracle)
 
 
 def test_balanced_small_shapes():
@@ -45,11 +45,11 @@ def test_validate_tree_good_and_bad():
     t = build_balanced(5)
     assert validate_tree(t)
     # out-of-order child: left[2] = 3 breaks the search order
-    bad = StaticTree(3, 1, (0, 0, 3, 0), (0, 2, 0, 0), (0, 0, 1, 2), (0, 0, 1, 2))
+    bad = StaticTree(3, 1, (0, 0, 3, 0), (0, 2, 0, 0), (0, 0, 1, 2))
     assert not validate_tree(bad)
     # inconsistent depth table
     good = build_balanced(3)
-    mangled = StaticTree(3, 2, good.left, good.right, (0, 1, 0, 2), good.parent)
+    mangled = StaticTree(3, 2, good.left, good.right, (0, 1, 0, 2))
     assert not validate_tree(mangled)
 
 
@@ -67,21 +67,20 @@ class _CountedTable(tuple):
 def _tree_tables(draw):
     """Arbitrary StaticTree tables: a random BST whose child slots are
     then overwritten with keys from 0..n (cycles, shared children and
-    out-of-order keys), with its derived tables kept or redrawn."""
+    out-of-order keys), with its depth table kept or redrawn."""
     n = draw(st.integers(1, 9))
     base = random_tree(random.Random(draw(st.integers(0, 2 ** 32 - 1))), n)
     tabs = [list(base.left), list(base.right)]
     for _ in range(draw(st.integers(0, 2 * n))):
         tabs[draw(st.integers(0, 1))][draw(st.integers(1, n))] = draw(st.integers(0, n))
-    depth, parent = base.depth, base.parent
+    depth = base.depth
     if draw(st.booleans()):
         depth = (0,) + tuple(draw(st.lists(st.integers(0, n), min_size=n, max_size=n)))
-        parent = (0,) + tuple(draw(st.lists(st.integers(0, n), min_size=n, max_size=n)))
     root = draw(st.one_of(st.just(base.root), st.integers(0, n + 1)))
     reads = [0]
     left, right = _CountedTable(tabs[0]), _CountedTable(tabs[1])
     left.reads = right.reads = reads
-    return StaticTree(n, root, left, right, depth, parent)
+    return StaticTree(n, root, left, right, depth)
 
 
 @settings(max_examples=400, deadline=None)

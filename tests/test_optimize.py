@@ -13,11 +13,10 @@ from lazybst import (GeneratorSpec, SearchSequence, SearchStats, UsageError,
                      run_root_finger, treap_build, validate_tree, weights_from_tree)
 from lazybst import model
 from lazybst.fileio import write_tree
-from lazybst.model import subtree_intervals
 from lazybst.optimize import cut_table
 from support import (_all_shapes, enumerate_optimal, optimal_lazy_naive,
                      optimal_root_naive, random_pair_stats, random_sequence,
-                     stats_from_pair_counts, stitch_sequence)
+                     stats_from_pair_counts, stitch_sequence, subtree_intervals)
 
 
 def _alternating_stats():
