@@ -7,7 +7,9 @@ weight is ``cut_table``, the transitions with exactly one endpoint in
 the interval, since a transition crosses the edge above v exactly when
 one of its endpoints lies in subtree(v); it is built from the count
 table's triples in one table.  For the root finger the weight is the
-search count.  The kernel does O(n^3) work on vectorized diagonals.
+search count.  The kernel does O(n^3) work, one vectorized slab per
+interval length, and keeps only G, the cheapest cost plus weight of
+every interval; the tree walk recovers each interval's root from it.
 All tie-breaks prefer the smallest root per interval, which makes every
 optimizer deterministic.
 
@@ -15,10 +17,9 @@ Every value the kernel stores is at most the cost of some tree on an
 interval plus its weight: 2 n (total transition count) for the lazy
 finger and n (total searches) for the root finger, taken from the count
 arrays themselves.  The kernel's tables are int32 when that bound is
-below 2^31 and int64 otherwise, with an int16 root table while
-n < 2^15.  The lazy optimizer's cut table is built at the same width,
-and the cut and the DP tables are checked against the memory budget
-together, before either is built.
+below 2^31 and int64 otherwise.  The lazy optimizer's cut table is built
+at the same width, and the cut and the DP tables are checked against the
+memory budget together, before either is built.
 
 Every builder here only picks a root per key interval; the tree itself
 comes from ``model.tree_from_splits``.
@@ -57,12 +58,10 @@ def _lazy_bound(s: SearchStats) -> int:
 
 def _dp_bytes(n: int, bound: int) -> int:
     """Bytes ``_interval_dp`` holds at its peak: H, E and buf at the cost
-    width and the root table, 2.25 widths plus 2 bytes a cell, and one
-    byte a cell for the rest: 12 bytes a cell at int32, 21 at int64.  The
-    measured tracemalloc peaks are 11.5 and 21.0 at n = 384, 11.1 and
-    20.2 at n = 1024."""
-    width = np.dtype(_cost_dtype(bound)).itemsize
-    return (9 * width // 4 + (2 if n < 2**15 else 4) + 1) * (n + 1) ** 2
+    width, 2.25 widths a cell, and one byte a cell for the rest: 10 bytes
+    a cell at int32, 19 at int64.  The measured tracemalloc peaks are
+    9.1-9.5 and 18.1-18.9 from n = 384 to 1024."""
+    return (9 * np.dtype(_cost_dtype(bound)).itemsize // 4 + 1) * (n + 1) ** 2
 
 
 def _interval_dp(n: int, weight: Callable[[int], np.ndarray], bound: int) -> OptResult:
@@ -71,35 +70,33 @@ def _interval_dp(n: int, weight: Callable[[int], np.ndarray], bound: int) -> Opt
 
     ``weight(ln)[i]`` is the weight of the key interval i+1..i+ln.  With
     ``G = cost + weight`` and ``G(empty) = 0`` the recurrence is
-    ``cost[a, b] = min_r G[a, r-1] + G[r+1, b]``.  G is kept twice, by
-    start and by end, with the end layout's lengths reversed, so the
-    roots of every interval of one length are scored by one sum of two
-    forward slices; argmin returns the first minimum, i.e. the smallest
-    root.
+    ``cost[a, b] = min_r G[a, r-1] + G[r+1, b]``.  G is kept by length,
+    once by start and once by end with the lengths reversed, so the
+    roots of every interval of one length form one slab of contiguous
+    rows, one row per root offset, and its minimum over the rows is that
+    length's row of G.  The tree walk scores one interval's roots again
+    from the final tables; argmin returns the first minimum, i.e. the
+    smallest root.
 
     ``bound`` is at least every G value and every sum of two: the tables
-    are int32 when it is below 2^31 and int64 otherwise, and the root
-    table is int16 while n < 2^15.  argmin sees the same integers at
-    either width, so the tree does not depend on it.
+    are int32 when it is below 2^31 and int64 otherwise.  argmin sees the
+    same integers at either width, so the tree does not depend on it.
     """
     check_memory(n, _dp_bytes(n, bound), "interval DP tables")
     dtype = _cost_dtype(bound)
-    H = np.zeros((n + 2, n + 1), dtype=dtype)     # H[a, len] = G[a, a+len-1]
-    E = np.zeros((n + 1, n + 1), dtype=dtype)     # E[b, n-len] = G[b-len+1, b]
-    # root[a, len] - a
-    root = np.zeros((n + 2, n + 1), dtype=np.int16 if n < 2**15 else np.int32)
+    H = np.zeros((n + 1, n + 1), dtype=dtype)     # H[len, a] = G[a, a+len-1]
+    E = np.zeros((n + 1, n + 1), dtype=dtype)     # E[n-len, b] = G[b-len+1, b]
     buf = np.empty((n + 1) ** 2 // 4, dtype=dtype)
     for ln in range(1, n + 1):
         A = n - ln + 1
-        total = np.add(H[1:A + 1, :ln], E[ln:n + 1, A:], out=buf[:A * ln].reshape(A, ln))
-        k = total.argmin(axis=1)
-        cost = total[np.arange(A), k]
-        root[1:A + 1, ln] = k
-        G = cost + weight(ln)
-        H[1:A + 1, ln] = G
-        E[ln:n + 1, n - ln] = G
-    tree = tree_from_splits(n, lambda a, b: a + int(root[a, b - a + 1]))
-    return OptResult(tree=tree, cost=int(cost[0]))
+        G = H[ln, 1:A + 1]
+        slab = np.add(H[:ln, 1:A + 1], E[A:, ln:], out=buf[:A * ln].reshape(ln, A))
+        np.minimum.reduce(slab, axis=0, out=G)
+        G += weight(ln)
+        E[n - ln, ln:] = G
+    tree = tree_from_splits(
+        n, lambda a, b: a + int(np.argmin(H[:b - a + 1, a] + E[n - b + a:, b])))
+    return OptResult(tree=tree, cost=int(H[n, 1] - weight(n)[0]))
 
 
 def cut_table(s: SearchStats) -> np.ndarray:
@@ -142,8 +139,8 @@ def optimal_lazy_dp(s: SearchStats) -> OptResult:
     """
     n = s.n
     bound = _lazy_bound(s)
-    # Held at once: the cut and the DP tables, 16 and 29 bytes a cell
-    # (measured peaks 15.5 and 29.0 at n = 384).
+    # Held at once: the cut and the DP tables, 14 and 27 bytes a cell
+    # (measured peaks 13.1-13.5 and 26.1-26.9 from n = 384 to 1024).
     check_memory(n, np.dtype(_cost_dtype(bound)).itemsize * (n + 1) ** 2
                  + _dp_bytes(n, bound), "lazy optimizer tables")
     cut = cut_table(s)

@@ -276,11 +276,11 @@ def test_memory_budget_refuses_before_allocating():
 
 def test_lazy_optimizer_checks_its_tables_once_before_the_cut(monkeypatch):
     # The lazy optimizer holds the cut table, at the DP's width, and the
-    # DP tables at once: 4 + 12 bytes a cell at int32 and 8 + 21 at int64.
+    # DP tables at once: 4 + 10 bytes a cell at int32 and 8 + 19 at int64.
     n = 20
     cells = (n + 1) ** 2
     rng = np.random.default_rng(20)
-    for high, per_cell in ((10, 16), (10**7, 29)):
+    for high, per_cell in ((10, 14), (10**7, 27)):
         s = stats_from_pair_counts(n, rng.integers(0, high, size=(n + 1, n + 1)))
         want = optimal_lazy_dp(s)
         with monkeypatch.context() as mp:

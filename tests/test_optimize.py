@@ -127,6 +127,25 @@ def test_lazy_dp_tables_take_16_bytes_a_cell_at_int32_and_30_at_int64():
         assert cost_from_frequencies(res.tree, s) == res.cost
 
 
+def test_optimizers_peak_at_their_checked_bytes_a_cell():
+    # The figures the budget checks use: the lazy optimizer 14 bytes a
+    # cell at int32 and 27 at int64, the root optimizer 10 and 19.
+    n = 512
+    rng = np.random.default_rng(15)
+    for high, lazy_cell, root_cell in ((2, 14, 10), (100, 27, 19)):
+        s = stats_from_pair_counts(n, rng.integers(0, high, size=(n + 1, n + 1)))
+        for fn, per_cell, bound in ((optimal_lazy_dp, lazy_cell, 2 * n * int(s.count.sum())),
+                                    (optimal_root_dp, root_cell, n * int(s.searches.sum()))):
+            assert (bound < 2**31) == (high == 2)
+            tracemalloc.start()
+            try:
+                fn(s)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= per_cell * (n + 1) ** 2, (fn.__name__, high, peak / (n + 1) ** 2)
+
+
 def _table_with_total(rng, n, total):
     """A count table over n keys whose counts sum to ``total``, spread
     over random pairs (a != b)."""
@@ -141,12 +160,12 @@ def _table_with_total(rng, n, total):
 def test_dp_width_switches_at_the_bound_with_oracle_results(monkeypatch):
     # The bound is 2 n (total count) for lazy and n (total searches) for
     # root; tables just below 2^31 run at int32 and just above at int64.
-    # The budget is patched to the int32 figure (lazy optimizer 16 bytes
-    # a cell, root DP 12), which only the int32 side fits.
+    # The budget is patched to the int32 figure (lazy optimizer 14 bytes
+    # a cell, root DP 10), which only the int32 side fits.
     rng = random.Random(2031)
     for n in (2, 3, 4):
-        for factor, naive, fast, per_cell in ((2 * n, optimal_lazy_naive, optimal_lazy_dp, 16),
-                                              (n, optimal_root_naive, optimal_root_dp, 12)):
+        for factor, naive, fast, per_cell in ((2 * n, optimal_lazy_naive, optimal_lazy_dp, 14),
+                                              (n, optimal_root_naive, optimal_root_dp, 10)):
             below = (2**31 - 1) // factor
             for total, fits in ((below, True), (below + 1, False)):
                 s = _table_with_total(rng, n, total)
@@ -336,6 +355,31 @@ def test_tie_break_pins(name):
         res = fn(s)
         assert res.cost == cost
         assert hashlib.sha256(write_tree(res.tree).encode()).hexdigest() == digest
+
+
+# (cost, sha256 of the tree file) of each optimizer on inputs past the
+# oracles' reach: the dp-markov benchmark's table, and a sequential scan
+# whose lazy optimum is a path of depth 699, the deepest tree walk.
+# Recorded from the kernel that kept a root table.
+LARGE_PINS = {
+    "markov-384-100000": (
+        (1071538, "8b166394cce7f86d622839a4c6e2eda1f636db5ee2312413d2d0ae30fcc0695c"),
+        (658205, "4442bffa93dc2ca1f78527995e7858eafbf3072367bc7e930bb975f89f1fb5ba")),
+    "sequential-700-2000": (
+        (3395, "4f2f216051d43db5baf3543e9bab31f6ebef9c83e5245d52df2b92752fbd7bb4"),
+        (15058, "52c6a3e38d671bdb7b2080a871e30134da5cbb6304b38fe5ecf81f6874120990")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_PINS))
+def test_large_optimizer_pins(name):
+    kind, n, m = name.split("-")
+    s = frequencies_from_sequence(generate(GeneratorSpec(kind, int(n), int(m), seed=1)))
+    lazy, root = optimal_lazy_dp(s), optimal_root_dp(s)
+    for res, (cost, digest) in zip((lazy, root), LARGE_PINS[name]):
+        assert res.cost == cost
+        assert hashlib.sha256(write_tree(res.tree).encode()).hexdigest() == digest
+    assert max(lazy.tree.depth) == (699 if kind == "sequential" else 15)
 
 
 # sha256 of the tree file of each builder, recorded from the per-builder
