@@ -53,6 +53,15 @@ def _load_stats(args):
     return fileio.read_freq(_read(args.freq))
 
 
+def _load_sequence(args):
+    """The --seq sequence, refused when empty, its count table and H_c."""
+    x = fileio.read_sequence(_read(args.seq))
+    if x.m == 0:
+        raise MalformedInputError("empty sequence")
+    s = frequencies_from_sequence(x)
+    return x, s, conditional_entropy(s) if x.m >= 2 else 0.0
+
+
 def cmd_gen(args) -> int:
     matrix = None
     n = args.n
@@ -74,15 +83,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    x = fileio.read_sequence(_read(args.seq))
-    if x.m == 0:
-        raise MalformedInputError("empty sequence")
-    s = frequencies_from_sequence(x)
-    h = entropy(s)
-    hc = conditional_entropy(s) if x.m >= 2 else 0.0
+    x, s, hc = _load_sequence(args)
     print(f"n\t{x.n}")
     print(f"m\t{x.m}")
-    print(f"H\t{h:.6f}")
+    print(f"H\t{entropy(s):.6f}")
     print(f"H_c\t{hc:.6f}")
     return 0
 
@@ -147,13 +151,9 @@ def cmd_weights(args) -> int:
 
 
 def cmd_multitree(args) -> int:
-    x = fileio.read_sequence(_read(args.seq))
-    if x.m == 0:
-        raise MalformedInputError("empty sequence")
-    s = frequencies_from_sequence(x)
+    x, s, hc = _load_sequence(args)
     mt = build_multitree(s, args.d)
     total = run_multitree(mt, x)
-    hc = conditional_entropy(s) if x.m >= 2 else 0.0
     print(f"n\t{x.n}")
     print(f"d\t{args.d}")
     print(f"m\t{x.m}")
@@ -171,15 +171,11 @@ def cmd_multitree(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    x = fileio.read_sequence(_read(args.seq))
-    if x.m == 0:
-        raise MalformedInputError("empty sequence")
+    x, s, hc = _load_sequence(args)
     if args.seed is None:
         raise UsageError("--seed is required for compare (treap strategy)")
-    s = frequencies_from_sequence(x)
     m = x.m
     h = entropy(s)
-    hc = conditional_entropy(s) if m >= 2 else 0.0
     d = args.d if args.d is not None else min(16, x.n)
     mt = build_multitree(s, d)   # refuses a bad --d before the exact DPs run
 

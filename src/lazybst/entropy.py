@@ -23,7 +23,9 @@ class WeightVector:
     """Positive per-key weights with a running prefix sum.
 
     ``prefix[k]`` is the sum of weights 1..k (prefix[0] = 0), so any
-    contiguous key range [a, b] sums in O(1).
+    contiguous key range [a, b] sums in O(1).  ``from_values`` refuses a
+    total above 2^1022, so every prefix sum, and the sum of any two
+    (``mehlhorn_build``'s midpoints), stays finite.
     """
 
     n: int
@@ -36,8 +38,13 @@ class WeightVector:
         n = int(vals.size)
         if n < 1:
             raise InvalidInputError("weight vector must be nonempty")
-        if not np.all(np.isfinite(vals)) or vals.min() <= 0.0:
+        # Scaled by 2^-1023 no total of finite weights overflows, and an
+        # infinite one stays infinite.
+        total = (vals * 2.0**-1023).sum()
+        if not (vals.min() > 0.0 and total < np.inf):   # nan fails both
             raise InvalidInputError("weights must be positive and finite")
+        if total > 0.5:
+            raise InvalidInputError("weights must sum to at most 2^1022")
         w = np.zeros(n + 1)
         w[1:] = vals
         prefix = np.zeros(n + 1)

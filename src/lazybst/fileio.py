@@ -9,12 +9,15 @@ or the count identities raise InvalidInputError.  A count table is read
 as its (a, b, count) lines, so reading one needs memory in its file
 size, not in n^2.
 
-The integer readers (sequence, tree, count table) first try one
-whole-text numpy parse, which takes any text of ASCII digits and the
+All five readers take the same path.  The whole text first goes
+through one numpy parse, which takes any text of ASCII digits and the
 separators \t \n \v \f \r and space whose values are all below 10^18.
-Any other text (signs, underscores, non-ASCII digits, the separators
-\x1c-\x1f, larger values) is split into tokens and parsed token by token,
-which accepts exactly what int() accepts and names the bad token.
+Any other text (signs, underscores, non-ASCII digits, decimal points, the
+separators \x1c-\x1f, larger values) is split into tokens.  The header's
+integers are read one by one; every other field becomes int64 or float64
+in one numpy conversion, which accepts exactly what int() or float()
+accepts, and only when that fails does a pass token by token name the
+bad token.
 """
 
 from __future__ import annotations
@@ -36,14 +39,23 @@ def _int(tok: str, what: str) -> int:
     raise MalformedInputError(f"{what}: outside the 64-bit integer range: {tok!r}")
 
 
-def _ints(toks, what: str) -> np.ndarray:
-    """The tokens as int64 in one numpy parse, which accepts the same
-    tokens as int(); on failure the per-token parse names the bad one.
-    Tokens the fast parse already read come back as they are."""
+def _float(tok: str, what: str) -> float:
     try:
-        return np.asarray(toks, dtype=np.int64)
+        return float(tok)
+    except ValueError:
+        raise MalformedInputError(f"{what}: not a number: {tok!r}") from None
+
+
+def _parse(toks, what: str, one=_int) -> np.ndarray:
+    """The tokens as int64 (one=_int) or float64 (one=_float) in one numpy
+    parse, which accepts the same tokens as int() or float(); on failure
+    the per-token parse names the bad one.  Tokens the fast parse already
+    read come back as they are."""
+    dtype = np.int64 if one is _int else np.float64
+    try:
+        return np.asarray(toks, dtype=dtype)
     except (ValueError, OverflowError):
-        return np.array([_int(t, what) for t in toks], dtype=np.int64)
+        return np.array([one(t, what) for t in toks], dtype=dtype)
 
 
 # ASCII digits and the separators both str.split() and numpy's text
@@ -70,25 +82,19 @@ def _fast_ints(text: str) -> np.ndarray | None:
     return vals
 
 
-def _split_ints(text: str):
-    """text.split() for a file of integers: already int64 when the fast
-    parse takes the text, else the str tokens."""
-    vals = _fast_ints(text)
-    return text.split() if vals is None else vals
-
-
-def _float(tok: str, what: str) -> float:
-    try:
-        return float(tok)
-    except ValueError:
-        raise MalformedInputError(f"{what}: not a number: {tok!r}") from None
-
-
-def _tokens(text: str, what: str, at_least: int, split=str.split):
-    toks = split(text)
-    if len(toks) < at_least:
+def _header(text: str, what: str, *names: str):
+    """The tokens of text after its header, then the header's integers
+    (the first is n, which must be >= 1).  The tokens are int64 when the
+    fast parse takes the text, else the str tokens of text.split()."""
+    toks = _fast_ints(text)
+    if toks is None:
+        toks = text.split()
+    if len(toks) < len(names):
         raise MalformedInputError(f"{what}: truncated file")
-    return toks
+    head = [_int(t, f"{what} {name}") for t, name in zip(toks, names)]
+    if head[0] < 1:
+        raise MalformedInputError(f"{what}: n must be >= 1")
+    return toks[len(names):], *head
 
 
 # -- sequence ---------------------------------------------------------------
@@ -99,16 +105,12 @@ def write_sequence(x: SearchSequence) -> str:
 
 
 def read_sequence(text: str) -> SearchSequence:
-    toks = _tokens(text, "sequence file", 2, _split_ints)
-    n = _int(toks[0], "sequence file n")
-    m = _int(toks[1], "sequence file m")
-    if n < 1:
-        raise MalformedInputError("sequence file: n must be >= 1")
+    items, n, m = _header(text, "sequence file", "n", "m")
     if m < 0:
         raise MalformedInputError("sequence file: m must be >= 0")
-    if len(toks) != 2 + m:
-        raise MalformedInputError(f"sequence file: expected {m} items, found {len(toks) - 2}")
-    return SearchSequence(n, _ints(toks[2:], "sequence item"))
+    if len(items) != m:
+        raise MalformedInputError(f"sequence file: expected {m} items, found {len(items)}")
+    return SearchSequence(n, _parse(items, "sequence item"))
 
 
 # -- tree -------------------------------------------------------------------
@@ -121,16 +123,12 @@ def write_tree(t: StaticTree) -> str:
 
 
 def read_tree(text: str) -> StaticTree:
-    toks = _tokens(text, "tree file", 2, _split_ints)
-    n = _int(toks[0], "tree file n")
-    root = _int(toks[1], "tree file root")
-    if n < 1:
-        raise MalformedInputError("tree file: n must be >= 1")
-    if len(toks) != 2 + 3 * n:
+    rows, n, root = _header(text, "tree file", "n", "root")
+    if len(rows) != 3 * n:
         raise MalformedInputError("tree file: wrong number of entries")
-    keys = _ints(toks[2::3], "tree file key")
-    left = _ints(toks[3::3], "tree file left child")
-    right = _ints(toks[4::3], "tree file right child")
+    keys = _parse(rows[0::3], "tree file key")
+    left = _parse(rows[1::3], "tree file left child")
+    right = _parse(rows[2::3], "tree file right child")
     # The first row at fault names the fault, as reading row by row would.
     bad_key = np.flatnonzero(keys != np.arange(1, n + 1))
     bad_child = np.flatnonzero((left < 0) | (left > n) | (right < 0) | (right > n))
@@ -160,16 +158,14 @@ def write_weights(w: WeightVector) -> str:
 
 
 def read_weights(text: str) -> WeightVector:
-    toks = _tokens(text, "weights file", 1)
-    n = _int(toks[0], "weights file n")
-    if n < 1:
-        raise MalformedInputError("weights file: n must be >= 1")
-    if len(toks) != 1 + n:
-        raise MalformedInputError(f"weights file: expected {n} weights, found {len(toks) - 1}")
-    vals = [_float(t, "weight") for t in toks[1:]]
-    for v in vals:
-        if not np.isfinite(v) or v <= 0.0:
-            raise MalformedInputError(f"weights file: weights must be positive and finite, got {v}")
+    toks, n = _header(text, "weights file", "n")
+    if len(toks) != n:
+        raise MalformedInputError(f"weights file: expected {n} weights, found {len(toks)}")
+    vals = _parse(toks, "weight", _float)
+    bad = np.flatnonzero(~((vals > 0.0) & (vals < np.inf)))   # nan fails both
+    if bad.size:
+        raise MalformedInputError("weights file: weights must be positive and finite, "
+                                  f"got {float(vals[bad[0]])}")
     return WeightVector.from_values(vals)
 
 
@@ -190,27 +186,21 @@ def read_freq(text: str) -> SearchStats:
     (InvalidInputError): below that bound every path-length sum, cut
     weight and DP intermediate fits in int64.
     """
-    toks = _tokens(text, "frequency file", 4, _split_ints)
-    n = _int(toks[0], "frequency file n")
-    m = _int(toks[1], "frequency file m")
-    first = _int(toks[2], "frequency file first")
-    last = _int(toks[3], "frequency file last")
-    if n < 1:
-        raise MalformedInputError("frequency file: n must be >= 1")
+    toks, n, m, first, last = _header(text, "frequency file", "n", "m", "first", "last")
     if m < 0:
         raise MalformedInputError("frequency file: m must be >= 0")
-    if len(toks) < 4 + n:
+    if len(toks) < n:
         raise MalformedInputError("frequency file: truncated search-count row")
-    rest = toks[4 + n:]
+    rest = toks[n:]
     if len(rest) % 3:
         raise MalformedInputError("frequency file: pair lines must have 3 entries")
     searches = np.zeros(n + 1, dtype=np.int64)
-    searches[1:] = _ints(toks[4:4 + n], "search count")
+    searches[1:] = _parse(toks[:n], "search count")
     if (searches < 0).any():
         raise MalformedInputError("frequency file: negative search count")
-    a = _ints(rest[0::3], "pair key")
-    b = _ints(rest[1::3], "pair key")
-    c = _ints(rest[2::3], "pair count")
+    a = _parse(rest[0::3], "pair key")
+    b = _parse(rest[1::3], "pair key")
+    c = _parse(rest[2::3], "pair count")
     if (c < 0).any():
         raise MalformedInputError("frequency file: negative pair count")
     bad = np.nonzero((a < 1) | (a > n) | (b < 1) | (b > n))[0]
@@ -260,16 +250,14 @@ def write_matrix(matrix: np.ndarray) -> str:
 
 
 def read_matrix(text: str) -> np.ndarray:
-    toks = _tokens(text, "matrix file", 1)
-    n = _int(toks[0], "matrix file n")
-    if n < 1:
-        raise MalformedInputError("matrix file: n must be >= 1")
-    if len(toks) != 1 + n * n:
+    toks, n = _header(text, "matrix file", "n")
+    if len(toks) != n * n:
         raise MalformedInputError(f"matrix file: expected {n}x{n} entries")
-    vals = np.array([_float(t, "matrix entry") for t in toks[1:]],
-                    dtype=np.float64).reshape(n, n)
+    vals = _parse(toks, "matrix entry", _float).reshape(n, n)
     if not np.all(np.isfinite(vals)) or vals.min() < 0.0:
         raise MalformedInputError("matrix file: entries must be nonnegative and finite")
-    if np.abs(vals.sum(axis=1) - 1.0).max() > 1e-9:
+    # An entry above 2 fails its row's sum; refusing it first keeps the
+    # sums finite.
+    if vals.max() > 2.0 or np.abs(vals.sum(axis=1) - 1.0).max() > 1e-9:
         raise MalformedInputError("matrix file: rows must sum to 1")
     return vals

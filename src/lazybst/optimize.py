@@ -169,8 +169,7 @@ def mehlhorn_build(w: WeightVector) -> StaticTree:
     def pick(lo: int, hi: int) -> int:
         target = prefix[lo - 1] + prefix[hi]
         r = bisect.bisect_left(mid, target, lo - 1, hi) + 1  # first g(r) >= 0
-        if r > hi:
-            return hi  # every split leans left
+        # r <= hi: prefix is non-decreasing, so mid[hi-1] >= target.
         if r > lo and target - mid[r - 2] <= mid[r - 1] - target:
             return r - 1
         return r

@@ -65,7 +65,9 @@ def _check_matrix(matrix: np.ndarray, n: int) -> np.ndarray:
         raise UsageError(f"transition matrix must be {n} x {n}")
     if not np.all(np.isfinite(matrix)) or matrix.min() < 0.0:
         raise UsageError("transition matrix entries must be nonnegative")
-    if np.abs(matrix.sum(axis=1) - 1.0).max() > 1e-9:
+    # An entry above 2 fails its row's sum; refusing it first keeps the
+    # sums finite.
+    if matrix.max() > 2.0 or np.abs(matrix.sum(axis=1) - 1.0).max() > 1e-9:
         raise UsageError("transition matrix rows must sum to 1")
     return matrix
 

@@ -2,7 +2,8 @@
 files, count tables from dense pair tables, independent oracles (tree
 distances, tree validation, brute-force and exhaustive optimizers, the
 per-search multitree walk), the Eulerian stitcher that turns a count
-table back into a sequence, and the seeded fuzz of the command line."""
+table back into a sequence, and the seeded fuzz of the readers and of
+the command line."""
 
 from __future__ import annotations
 
@@ -18,10 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from lazybst import (InvalidInputError, MultiTree, NO_NODE, OptResult, SearchSequence,
-                     SearchStats, StaticTree, UsageError, build_tree,
+                     SearchStats, StaticTree, UsageError, WeightVector, build_tree,
                      cost_from_frequencies, frequencies_from_sequence, probe)
 from lazybst.cli import build_parser, main
-from lazybst.fileio import write_matrix
+from lazybst.fileio import (write_freq, write_matrix, write_sequence, write_tree,
+                            write_weights)
 from lazybst.model import tree_from_splits
 
 # Count files whose totals wrap in int64 (they pass every identity there),
@@ -501,6 +503,64 @@ def search_costs(mt: MultiTree, x: SearchSequence) -> list[int]:
                 costs.append(comparisons + gdepth[target] + 1)
         prev = target
     return costs
+
+
+# -- fuzz of the readers ------------------------------------------------------
+
+# Integers at the 64-bit edges, floats at the edges of the double range,
+# and text that int(), float() and numpy's parsers might take differently.
+# None is above 1e300, so no weights file of a few of them sums past the
+# float range: that refusal has its own test.
+_READER_TOKENS = ("0", "1", "2", "3", "4", "-1", "-0", "+3", "007", "1_0", "1__0", "_1",
+                  "\u0663", "\uff11", "\u0661\u0662.\u0665", "nan", "-nan", "inf", "-inf",
+                  "Infinity", "1e400", "-1e400", "5e-324", "1e-400", "1e300", "0.5", "0.25",
+                  "1.0", ".5", "5.", "1e3", "+.5e-3", "0x10", "1e", "x", "1d0",
+                  str(2**63 - 1), str(2**63), str(-2**63), str(-2**63 - 1), "9" * 18,
+                  "9" * 19)
+_READER_SEPARATORS = (" ", "\n", "\t", "\r\n", "\x1c", "\u3000", "\v")
+
+
+def _valid_reader_file(rng: random.Random, fmt: str) -> str:
+    n = rng.randint(1, 6)
+    if fmt == "sequence":
+        return write_sequence(random_sequence(rng, n, rng.randint(0, 12)))
+    if fmt == "tree":
+        return write_tree(random_tree(rng, n))
+    if fmt == "weights":
+        return write_weights(WeightVector.from_values(
+            [rng.choice((1.0, 0.5, 1 / 3, 7.25, 2.0 ** -1074, 1e-300, 1e300, rng.random()))
+             for _ in range(n)]))
+    if fmt == "freq":
+        return write_freq(frequencies_from_sequence(random_sequence(rng, n, rng.randint(0, 12))))
+    rows = np.array([[rng.random() for _ in range(n)] for _ in range(n)])
+    return write_matrix(rows / rows.sum(axis=1, keepdims=True))
+
+
+def mutated_reader_files(seed: int, count: int) -> list[tuple[str, str]]:
+    """``count`` seeded (format, text) pairs over the five file formats:
+    a valid file with up to three tokens replaced, inserted or deleted,
+    joined by one separator that str.split() takes, or a short stream of
+    random tokens."""
+    rng = random.Random(seed)
+    files = []
+    for _ in range(count):
+        fmt = rng.choice(("sequence", "tree", "weights", "freq", "matrix"))
+        if rng.random() < 0.1:
+            toks = [rng.choice(_READER_TOKENS) for _ in range(rng.randint(0, 8))]
+        else:
+            toks = _valid_reader_file(rng, fmt).split()
+            for _ in range(rng.randint(0, 3)):
+                i = rng.randrange(len(toks) + 1)
+                op = rng.randrange(3)
+                if op == 0 and i < len(toks):
+                    toks[i] = rng.choice(_READER_TOKENS)
+                elif op == 1 and i < len(toks):
+                    del toks[i]
+                else:
+                    toks.insert(i, rng.choice(_READER_TOKENS))
+        sep = rng.choice(_READER_SEPARATORS) if rng.random() < 0.3 else rng.choice(" \n")
+        files.append((fmt, sep.join(toks) + rng.choice(("", "\n"))))
+    return files
 
 
 # -- fuzz of the command line -------------------------------------------------

@@ -8,14 +8,15 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lazybst
-from lazybst import SearchSequence, build_balanced, build_multitree, \
-    frequencies_from_sequence
+from lazybst import GeneratorSpec, SearchSequence, build_balanced, build_multitree, \
+    frequencies_from_sequence, generate
 from lazybst.cli import build_parser, main
-from lazybst.fileio import (read_freq, read_sequence, read_tree, read_weights,
-                            write_sequence, write_tree, write_weights)
+from lazybst.fileio import (read_freq, read_matrix, read_sequence, read_tree, read_weights,
+                            write_matrix, write_sequence, write_tree, write_weights)
 from support import HUGE_FREQ, WRAPPING_FREQ, search_costs
 
 
@@ -168,6 +169,46 @@ def test_stats_empty_sequence_is_malformed(tmp_path, capsys):
     path = seq_file(tmp_path, "x.seq", 3, [])
     code, _, err = run(capsys, "stats", "--seq", path)
     assert code == 2 and "empty" in err
+
+
+def test_multitree_and_compare_refuse_an_empty_sequence(tmp_path, capsys):
+    path = seq_file(tmp_path, "x.seq", 3, [])
+    # The empty sequence is named before compare's missing --seed.
+    for argv in (["multitree", "--seq", path, "--d", "2"],
+                 ["compare", "--seq", path, "--seed", "1"], ["compare", "--seq", path]):
+        assert run(capsys, *argv) == (2, "", "error: empty sequence\n"), argv
+
+
+def test_gen_takes_n_from_the_matrix(tmp_path, capsys):
+    matrix = np.array([[0.0, 0.5, 0.5], [0.25, 0.0, 0.75], [1.0, 0.0, 0.0]])
+    mfile = tmp_path / "m"
+    mfile.write_text(write_matrix(matrix))
+    want = write_sequence(generate(GeneratorSpec(kind="markov", n=3, m=40, seed=4,
+                                                 matrix=read_matrix(mfile.read_text()))))
+    out = tmp_path / "x.seq"
+    for n in ([], ["--n", "3"]):
+        argv = ["gen", "--kind", "markov", "--matrix", str(mfile), "--m", "40", "--seed", "4",
+                "--out", str(out), *n]
+        assert run(capsys, *argv) == (0, "", ""), argv
+        assert out.read_text() == want
+    code, out, err = run(capsys, "gen", "--kind", "markov", "--matrix", str(mfile),
+                         "--n", "4", "--seed", "4")
+    assert (code, out, err) == (1, "", "error: --n 4 does not match the 3-key matrix\n")
+
+
+def test_weights_summing_past_the_float_range_are_one_error(tmp_path, capsys):
+    """Every weight is finite, but the total (first file) or the sum of two
+    prefix sums (second) leaves the float range: one classified error and
+    no numpy overflow warning, which the suite turns into an error."""
+    for values in (["1e308", "1.7976931348623157e308", "1e308"], ["6e307", "6e307"]):
+        wfile = tmp_path / "w"
+        wfile.write_text("\n".join([str(len(values)), *values]) + "\n")
+        seq = seq_file(tmp_path, "x.seq", len(values), [1, 2, 1])
+        for argv in (["bound", "--weights", str(wfile), "--seq", seq],
+                     ["build", "--kind", "mehlhorn", "--weights", str(wfile)],
+                     ["build", "--kind", "treap", "--weights", str(wfile), "--seed", "1"]):
+            assert run(capsys, *argv) == (3, "", "error: weights must sum to at most "
+                                                 "2^1022\n"), (values, argv)
 
 
 def test_stats_missing_file_is_malformed(tmp_path, capsys):

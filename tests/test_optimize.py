@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lazybst import (GeneratorSpec, SearchSequence, SearchStats, UsageError,
-                     WeightVector, build_balanced, cost_from_frequencies, df_bound, entropy,
-                     frequencies_from_sequence, generate, mehlhorn_build,
+from lazybst import (GeneratorSpec, InvalidInputError, SearchSequence, SearchStats,
+                     UsageError, WeightVector, build_balanced, cost_from_frequencies,
+                     df_bound, entropy, frequencies_from_sequence, generate, mehlhorn_build,
                      optimal_lazy_dp, optimal_root_dp, run_lazy_finger,
                      run_root_finger, treap_build, validate_tree, weights_from_tree)
 from lazybst import model
@@ -428,6 +428,33 @@ def test_mehlhorn_roots_balance_left_and_right_weight():
         for v, lo, hi in subtree_intervals(t):
             gap = [abs(sum(vals[lo - 1:r - 1]) - sum(vals[r:hi])) for r in range(lo, hi + 1)]
             assert v == lo + gap.index(min(gap)), (vals, lo, hi)
+
+
+def test_mehlhorn_at_extreme_magnitudes():
+    """Weights from the smallest subnormal up to a total of 2^1022: each
+    root has the least float gap |mid[r-1] - target| of its interval, and
+    a power-of-two scale that keeps every weight normal keeps the tree."""
+    rng = random.Random(33)
+    vectors = [[2.0 ** 1021, 2.0 ** 1021], [2.0 ** 1022 - 2.0 ** 970, 2.0 ** -1074, 1.0],
+               [5e-324] * 5, [1e-300, 1e300, 1e-300, 1e300]]
+    for _ in range(300):
+        top = rng.randint(-1000, 1015)
+        vectors.append([math.ldexp(1 + rng.random(), rng.randint(-1074, top))
+                        for _ in range(rng.randint(1, 30))])
+    for vals in vectors:
+        w = WeightVector.from_values(vals)
+        t = mehlhorn_build(w)
+        assert validate_tree(t)
+        p = w.prefix.tolist()
+        for v, lo, hi in subtree_intervals(t):
+            target = p[lo - 1] + p[hi]
+            gap = [abs(p[r - 1] + p[r] - target) for r in range(lo, hi + 1)]
+            assert gap[v - lo] == min(gap), (vals, lo, hi)
+        if min(vals) >= 2.0 ** -1000 and sum(vals) <= 2.0 ** 1000:
+            for k in (-20, 20):
+                assert mehlhorn_build(WeightVector.from_values(np.ldexp(vals, k))) == t
+    with pytest.raises(InvalidInputError, match="at most 2\\^1022"):
+        WeightVector.from_values([2.0 ** 1022, 2.0 ** 970])
 
 
 def test_mehlhorn_depth_bound_per_key():

@@ -60,6 +60,18 @@ def test_markov_default_and_custom_matrix():
         generate(GeneratorSpec("markov", 3, 10, seed=0, matrix=bad))
 
 
+def test_markov_refuses_a_matrix_of_the_wrong_shape_or_sign():
+    ring = np.roll(np.eye(3), 1, axis=1)
+    cases = ((np.eye(2), "must be 3 x 3"), (ring[:2], "must be 3 x 3"),
+             (ring.ravel(), "must be 3 x 3"),
+             (np.where(ring == 0, -0.5, 1.0), "entries must be nonnegative"),
+             (np.where(np.eye(3) == 1, np.nan, ring), "entries must be nonnegative"),
+             (np.array([[1e308, 1e308, 0], [0, 0, 1], [1, 0, 0]]), "rows must sum to 1"))
+    for matrix, message in cases:
+        with pytest.raises(UsageError, match=message):
+            generate(GeneratorSpec("markov", 3, 10, seed=0, matrix=matrix))
+
+
 def test_uniform_and_seed_determinism():
     for kind in ("uniform", "markov", "rounds"):
         a = generate(GeneratorSpec(kind, 12, 300, seed=77))
