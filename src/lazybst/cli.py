@@ -63,6 +63,11 @@ def _load_sequence(args):
 
 
 def cmd_gen(args) -> int:
+    for flag, value, kind in (("--matrix", args.matrix, "markov"),
+                              ("--concentration", args.concentration, "markov"),
+                              ("--k", args.k, "rounds")):
+        if value is not None and args.kind != kind:
+            raise UsageError(f"{flag} applies only to kind {kind}")
     matrix = None
     n = args.n
     if args.matrix is not None:
@@ -224,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--k", type=int, help="distinct keys per round (rounds kind)")
-    p.add_argument("--concentration", type=float, default=0.2,
-                   help="Dirichlet parameter for default markov rows")
+    p.add_argument("--concentration", type=float,
+                   help="Dirichlet parameter for default markov rows (default 0.2)")
     p.add_argument("--matrix", help="markov transition matrix file")
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)

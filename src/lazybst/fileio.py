@@ -100,8 +100,13 @@ def _header(text: str, what: str, *names: str):
 # -- sequence ---------------------------------------------------------------
 
 def write_sequence(x: SearchSequence) -> str:
-    body = " ".join(str(v) for v in x.items.tolist())
-    return f"{x.n} {x.m}\n" + (body + "\n" if x.m else "")
+    # Items become text 4096 at a time, so no list of every item's int or
+    # str is held.  With no more keys than items each key's text is made
+    # once and looked up: the table never outgrows the sequence.
+    text = [str(k) for k in range(x.n + 1)].__getitem__ if x.n <= x.m else str
+    body = " ".join(" ".join(map(text, x.items[i:i + 4096].tolist()))
+                    for i in range(0, x.m, 4096))
+    return f"{x.n} {x.m}\n{body}\n" if x.m else f"{x.n} {x.m}\n"
 
 
 def read_sequence(text: str) -> SearchSequence:

@@ -8,8 +8,8 @@ same sequence byte for byte.
 
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +21,15 @@ KINDS = ("sequential", "bitrev", "rounds", "markov", "uniform")
 RANDOM_KINDS = ("rounds", "markov", "uniform")
 
 # Peak bytes per item of generating a sequence and writing it as text;
-# tracemalloc measured at most 128.2 (any kind, keys of up to 19 digits).
+# tracemalloc measured at most 48 writing 19-digit keys, and 73 for a
+# markov walk whose keys mostly pass 256 (n = 1024, m = 3 million, its
+# rows included).
 ITEM_BYTES = 144
+
+# Peak bytes per cell of a default markov matrix: the walk's cumulative
+# rows as an array and as Python floats (the draw and its normalized copy
+# are freed first); tracemalloc measured 40.14 at n = 1024.
+CELL_BYTES = 41
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,17 +38,15 @@ class GeneratorSpec:
     n: int
     m: int
     seed: int = 0
-    k: int | None = None              # rounds: distinct keys per round
-    matrix: np.ndarray | None = None  # markov: row-stochastic (n, n)
-    concentration: float = 0.2        # markov: Dirichlet parameter for default rows
+    k: int | None = None                # rounds: distinct keys per round
+    matrix: np.ndarray | None = None    # markov: row-stochastic (n, n)
+    concentration: float | None = None  # markov: Dirichlet parameter of default rows, 0.2 if None
 
 
 def _default_matrix(rng: np.random.Generator, n: int, concentration: float) -> np.ndarray:
     if not 0.0 <= concentration < math.inf:
         raise UsageError(f"concentration must be nonnegative and finite, got {concentration}")
-    # The draw, its normalized copy, and generate's cumulative rows and
-    # their Python floats: 48 bytes per cell at the peak.
-    check_memory(n, 48 * n * n, "markov transition matrix")
+    check_memory(n, CELL_BYTES * n * n, "markov transition matrix")
     # Normalized Gamma rows == Dirichlet rows; one matrix-shaped draw
     # keeps the byte layout of the randomness fixed.
     g = rng.gamma(concentration, 1.0, size=(n, n))
@@ -133,17 +138,25 @@ def generate(spec: GeneratorSpec) -> SearchSequence:
     # markov
     matrix = spec.matrix
     if matrix is None:
-        matrix = _default_matrix(rng, n, spec.concentration)
+        matrix = _default_matrix(rng, n, 0.2 if spec.concentration is None
+                                 else spec.concentration)
     matrix = _check_matrix(matrix, n)
     if m == 0:
         return SearchSequence(n, np.zeros(0, dtype=np.int64))
-    cum = matrix.cumsum(axis=1).tolist()
+    # Row k holds key k's cumulative sums as [-inf, c_1, ..., c_{n-1}, +inf]
+    # (row 0 unused), so bisect_right(rows[k], u) is the next key; +inf in
+    # place of c_n sends every u >= c_{n-1} to key n, also one past a row
+    # summing to just under 1.  cumsum adds along each row in order, so
+    # each c_j is the float a full-row prefix sum gives.
+    rows = np.zeros((n + 1, n + 1))
+    rows[:, 0] = -math.inf
+    rows[:, n] = math.inf
+    np.cumsum(matrix[:, :-1], axis=1, out=rows[1:, 1:n])
+    del matrix
+    rows = rows.tolist()
     cur = int(rng.integers(1, n + 1))
     items = [cur]
-    for u in rng.random(m - 1).tolist():
-        # min: guard the u == 1.0-epsilon edge of the last bucket
-        cur = min(bisect.bisect_right(cum[cur - 1], u) + 1, n)
-        items.append(cur)
+    items += [cur := bisect_right(rows[cur], u) for u in rng.random(m - 1).tolist()]
     return SearchSequence(n, np.array(items, dtype=np.int64))
 
 

@@ -1,13 +1,14 @@
 """Shared helpers for the test suite: random instances, fixed count
 files, count tables from dense pair tables, independent oracles (tree
 distances, tree validation, brute-force and exhaustive optimizers, the
-per-search multitree walk), the Eulerian stitcher that turns a count
-table back into a sequence, and the seeded fuzz of the readers and of
-the command line."""
+per-search multitree walk, the per-step markov walk), the Eulerian
+stitcher that turns a count table back into a sequence, and the seeded
+fuzz of the readers and of the command line."""
 
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import io
 import math
@@ -18,13 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from lazybst import (InvalidInputError, MultiTree, NO_NODE, OptResult, SearchSequence,
-                     SearchStats, StaticTree, UsageError, WeightVector, build_tree,
-                     cost_from_frequencies, frequencies_from_sequence, probe)
+from lazybst import (GeneratorSpec, InvalidInputError, MultiTree, NO_NODE, OptResult,
+                     SearchSequence, SearchStats, StaticTree, UsageError, WeightVector,
+                     build_tree, cost_from_frequencies, frequencies_from_sequence, probe)
 from lazybst.cli import build_parser, main
 from lazybst.fileio import (write_freq, write_matrix, write_sequence, write_tree,
                             write_weights)
 from lazybst.model import tree_from_splits
+from lazybst.seqgen import _default_matrix
 
 # Count files whose totals wrap in int64 (they pass every identity there),
 # and a valid one whose lazy cost needs more than 64 bits.
@@ -102,6 +104,25 @@ def caterpillar_tree(n: int) -> StaticTree:
 
 def random_sequence(rng: random.Random, n: int, m: int) -> SearchSequence:
     return SearchSequence(n, [rng.randint(1, n) for _ in range(m)])
+
+
+def markov_walk_oracle(spec: GeneratorSpec, rng: np.random.Generator) -> list[int]:
+    """The markov kind of ``generate`` as a step-by-step loop over each
+    key's full cumulative row, a u past the row's sum clamped to key n:
+    the reference for the walk over sentinel rows.  Draws from rng in
+    the order ``generate`` does."""
+    n = spec.n
+    matrix = spec.matrix
+    if matrix is None:
+        matrix = _default_matrix(rng, n, 0.2 if spec.concentration is None
+                                 else spec.concentration)
+    cum = np.asarray(matrix, dtype=np.float64).cumsum(axis=1).tolist()
+    cur = int(rng.integers(1, n + 1))
+    items = [cur]
+    for u in rng.random(spec.m - 1).tolist():
+        cur = min(bisect.bisect_right(cum[cur - 1], u) + 1, n)
+        items.append(cur)
+    return items
 
 
 def stats_from_pair_counts(n: int, pair, first: int = 0, last: int = 0) -> SearchStats:

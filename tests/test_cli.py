@@ -15,6 +15,7 @@ import lazybst
 from lazybst import GeneratorSpec, SearchSequence, build_balanced, build_multitree, \
     frequencies_from_sequence, generate
 from lazybst.cli import build_parser, main
+from lazybst.seqgen import KINDS
 from lazybst.fileio import (read_freq, read_matrix, read_sequence, read_tree, read_weights,
                             write_matrix, write_sequence, write_tree, write_weights)
 from support import HUGE_FREQ, WRAPPING_FREQ, search_costs
@@ -66,9 +67,17 @@ def test_gen_random_kinds_require_seed(capsys):
         assert code == 1 and "--seed" in err
 
 
-def test_gen_bad_parameters_are_usage_errors(capsys):
+def test_gen_bad_parameters_are_usage_errors(tmp_path, capsys):
     cases = [(["--kind", kind, "--seed", "-1"], "seed")
              for kind in ("rounds", "markov", "uniform")]
+    # A flag of another kind is refused, not ignored, even with a valid value.
+    mfile = tmp_path / "m"
+    mfile.write_text(write_matrix(np.full((5, 5), 0.2)))
+    for flag, value, kind in (("--matrix", str(mfile), "markov"),
+                              ("--concentration", "5", "markov"), ("--k", "3", "rounds")):
+        cases += [(["--kind", other, "--seed", "1", flag, value], flag)
+                  for other in KINDS if other != kind]
+    cases += [(["--kind", "sequential", "--concentration", "5", "--k", "3"], "--concentration")]
     cases += [(["--kind", "markov", "--seed", "1", "--concentration", c], "concentration")
               for c in ("-1", "nan", "inf")]
     cases += [(["--kind", kind, "--n", str(2**63), "--seed", "1"], "n must be")

@@ -28,6 +28,17 @@ def test_sequence_round_trip_and_layout():
     assert write_sequence(SearchSequence(4, [])) == "4 0\n"
 
 
+def test_sequence_writer_joins_every_block_and_both_key_paths():
+    # Keys come from a table when n <= m and from str() otherwise; items
+    # are joined a block of 4096 at a time.
+    rng = np.random.default_rng(5)
+    for n in (1, 9, 4096, 2**63 - 1):
+        for m in (1, 2, 4095, 4096, 4097, 8193):
+            items = rng.integers(1, n + 1, size=m) if n > 1 else np.ones(m, dtype=np.int64)
+            x = SearchSequence(n, items)
+            assert write_sequence(x) == f"{n} {m}\n" + " ".join(map(str, items.tolist())) + "\n"
+
+
 def test_sequence_errors_classified():
     with pytest.raises(MalformedInputError):
         read_sequence("3")                   # truncated header

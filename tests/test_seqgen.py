@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -5,6 +7,11 @@ import pytest
 
 from lazybst import (GeneratorSpec, SearchSequence, UsageError,
                      frequencies_from_sequence, generate)
+from lazybst.fileio import write_sequence
+from lazybst.seqgen import CELL_BYTES, ITEM_BYTES
+from support import markov_walk_oracle
+
+_DEFAULT_RNG = np.random.default_rng
 
 
 def test_sequential():
@@ -70,6 +77,97 @@ def test_markov_refuses_a_matrix_of_the_wrong_shape_or_sign():
     for matrix, message in cases:
         with pytest.raises(UsageError, match=message):
             generate(GeneratorSpec("markov", 3, 10, seed=0, matrix=matrix))
+
+
+class _EdgeRng:
+    """numpy's seeded generator, except that about a third of its uniform
+    draws are replaced by values where the walk's buckets meet."""
+
+    def __init__(self, seed, edges):
+        self._rng = _DEFAULT_RNG(seed)
+        self._edges = edges
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def random(self, size):
+        u = self._rng.random(size)
+        pick = self._rng.random(size) < 0.3
+        u[pick] = self._rng.choice(self._edges, size=int(pick.sum()))
+        return u
+
+
+def test_markov_walk_matches_the_per_step_loop(monkeypatch):
+    for n in range(1, 9):
+        for c in (0.05, 0.2, 1.0):
+            spec = GeneratorSpec("markov", n, 300, seed=n, concentration=c)
+            assert generate(spec).items.tolist() == markov_walk_oracle(spec, _DEFAULT_RNG(n))
+    # Sparse rows, rows summing to 1 - 5e-10, a zero last column and
+    # concentration 0 (uniform rows), walked with uniforms that include
+    # every cumulative sum and the top of [0, 1), where u passes a row's sum.
+    rng = random.Random(15)
+    past_the_last_column = 0
+    for case in range(300):
+        n, m, shape = rng.randint(1, 8), rng.randint(1, 120), case % 4
+        if shape == 3:
+            spec = GeneratorSpec("markov", n, m, seed=case, concentration=0.0)
+            rows = np.full((n, n), 1.0) / float(n)
+        else:
+            rows = np.array([[rng.random() if rng.random() < 0.5 else 0.0 for _ in range(n)]
+                             for _ in range(n)])
+            free = n - 1 if shape == 2 and n > 1 else n
+            rows[:, free:] = 0.0
+            for row in rows:
+                if not row.any():
+                    row[rng.randrange(free)] = 1.0
+            rows /= rows.sum(axis=1, keepdims=True)
+            if shape == 1:
+                rows *= 1 - 5e-10
+            spec = GeneratorSpec("markov", n, m, seed=case, matrix=rows)
+        edges = np.concatenate([rows.cumsum(axis=1).ravel(), [0.0, 1 - 2.5e-10, 1 - 2**-53]])
+        edges = edges[edges < 1.0]
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _EdgeRng(seed, edges))
+        want = markov_walk_oracle(spec, _EdgeRng(case, edges))
+        assert generate(spec).items.tolist() == want, (case, n, shape)
+        if shape == 2 and n > 1:
+            past_the_last_column += want[1:].count(n)
+    # Key n has probability 0 there, so only a u past a row's sum reaches it.
+    assert past_the_last_column > 0
+
+
+def test_generating_and_writing_stay_within_the_item_budget():
+    # Both writer paths: each key's text from a table (n <= m), and
+    # str() of 19-digit keys (n > m).
+    m = 60000
+    for spec in (GeneratorSpec("markov", 64, m, seed=1),
+                 GeneratorSpec("uniform", 2**63 - 1, m, seed=1)):
+        tracemalloc.start()
+        try:
+            x = generate(spec)
+            gen_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            text = write_sequence(x)
+            write_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        peak = max(gen_peak, write_peak)
+        assert peak <= ITEM_BYTES * m, (spec.kind, peak / m)
+        # The writer holds the items, the text twice (joined, then with
+        # its header) and one block of items as objects: no list of all.
+        assert write_peak <= 8 * m + 2 * len(text) + 2**20, (spec.kind, write_peak / m)
+
+
+def test_default_markov_matrix_stays_within_its_cell_budget():
+    # n = 512 keeps the tracing to about a second; the fixed costs weigh
+    # more per cell there than at n = 1024 (40.26 bytes against 40.14).
+    n = 512
+    tracemalloc.start()
+    try:
+        generate(GeneratorSpec("markov", n, 1, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CELL_BYTES * n * n, peak / n / n
 
 
 def test_uniform_and_seed_determinism():
