@@ -7,16 +7,24 @@ and falls back to a fresh descent of the global tree on a miss.  The
 jump from wherever a probe ends back to a tree root is free, which is
 what makes the comparison model the honest one here.
 
+A search in a BST compares once per node on its path, so a probe's cost
+follows from the members' depths alone.  A hit on a member at depth k
+costs k + 1.  A miss ends at the deeper of the target's in-order
+neighbours among the members, one of which is an ancestor of the other,
+so it costs that depth + 1, where a missing neighbour counts as depth
+-1: a tree with no members costs 0.
+
 Like both edge costs, the comparison count depends only on the
 transition counts: a search for b after a always costs the same, so a
 sequence is costed from its count table's (a, b, count) triples, each
 transition's probe cost times its count, plus the first search's
 descent.  ``run_multitree`` costs all transitions in one vectorized
-pass; ``probe`` walks one successor tree and is the reference for it.
+pass; ``probe`` applies the rule to one target.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from itertools import chain
 
@@ -24,22 +32,19 @@ import numpy as np
 
 from .entropy import WeightVector
 from .errors import InvalidInputError, UsageError
-from .model import NO_NODE, SearchSequence, SearchStats, StaticTree, build_balanced
+from .model import SearchSequence, SearchStats, StaticTree, build_balanced
 from .optimize import mehlhorn_build
 
 
 @dataclass(frozen=True)
 class SuccessorTree:
-    """Search tree over one key's retained successors.
-
-    ``members`` lists the retained successor keys in ascending order;
-    ``shape`` is a tree over positions 1..len(members) (None when no
-    successors are retained).  A probe compares against
-    members[position - 1] at each node.
-    """
+    """Search tree over one key's retained successors, kept as what its
+    costs read: ``members``, the retained successor keys in ascending
+    order, and ``depths``, each member's depth in the weight-bisection
+    tree over them."""
 
     members: tuple[int, ...]
-    shape: StaticTree | None
+    depths: tuple[int, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,33 +68,27 @@ def build_multitree(s: SearchStats, d: int) -> MultiTree:
     # The transitions are sorted by (a, b): each key's successors form one
     # contiguous run, in ascending key order.
     bounds = np.searchsorted(s.a, np.arange(1, n + 2)).tolist()
-    empty = SuccessorTree((), None)
+    empty = SuccessorTree((), ())
     succ = [empty]
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         if lo == hi:
             succ.append(empty)
             continue
         keep = np.sort(lo + np.lexsort((s.b[lo:hi], -s.count[lo:hi]))[:d])
-        shape = mehlhorn_build(WeightVector.from_values(s.count[keep]))
-        succ.append(SuccessorTree(tuple(s.b[keep].tolist()), shape))
+        depths = mehlhorn_build(WeightVector.from_values(s.count[keep])).depth[1:]
+        succ.append(SuccessorTree(tuple(s.b[keep].tolist()), depths))
     return MultiTree(n=n, global_tree=build_balanced(n), succ=tuple(succ))
 
 
 def probe(st: SuccessorTree, target: int) -> tuple[bool, int]:
-    """Search one successor tree; returns (hit, comparisons made)."""
-    if st.shape is None:
-        return False, 0
-    members = st.members
-    shape = st.shape
-    pos = shape.root
-    comparisons = 0
-    while pos != NO_NODE:
-        comparisons += 1
-        key = members[pos - 1]
-        if target == key:
-            return True, comparisons
-        pos = shape.left[pos] if target < key else shape.right[pos]
-    return False, comparisons
+    """Search one successor tree by the probe rule of the module
+    docstring; returns (hit, comparisons made)."""
+    i = bisect.bisect_left(st.members, target)
+    if i < len(st.members) and st.members[i] == target:
+        return True, st.depths[i] + 1
+    below = st.depths[i - 1] if i > 0 else -1
+    above = st.depths[i] if i < len(st.depths) else -1
+    return False, max(below, above) + 1
 
 
 def run_multitree(mt: MultiTree, x: SearchSequence) -> int:
@@ -97,13 +96,11 @@ def run_multitree(mt: MultiTree, x: SearchSequence) -> int:
     global tree, and each transition a -> b probes a's successor tree,
     descending the global tree again on a miss.
 
-    Every distinct transition is costed at once.  The successor trees
-    are flattened into one array of codes a (n+1) + member, ascending,
-    and each transition's code is looked up in it.  A hit on a member
-    at depth k costs k + 1.  A miss ends at the deeper of b's in-order
-    neighbours among a's members (a missing one counts as depth -1, so
-    a key with no successors costs 0), plus a descent of the global
-    tree to b.
+    Every distinct transition is costed at once by the probe rule of
+    the module docstring.  The successor trees are flattened into one
+    array of codes a (n+1) + member, ascending, and each transition's
+    code is looked up in it; a miss adds a descent of the global tree
+    to b.
     """
     if mt.n != x.n:
         raise InvalidInputError(f"universe mismatch: structure n={mt.n}, input n={x.n}")
@@ -117,8 +114,7 @@ def run_multitree(mt: MultiTree, x: SearchSequence) -> int:
     owner = np.full(total_size + 2, -1, dtype=np.int64)
     owner[1:-1] = np.repeat(np.arange(n + 1), sizes)
     depth = np.full(total_size + 2, -1, dtype=np.int64)
-    depth[1:-1] = np.fromiter(chain.from_iterable(st.shape.depth[1:] for st in mt.succ
-                                                  if st.shape is not None),
+    depth[1:-1] = np.fromiter(chain.from_iterable(st.depths for st in mt.succ),
                               np.int64, total_size)
     key = owner * (n + 1)
     key[1:-1] += np.fromiter(chain.from_iterable(st.members for st in mt.succ),

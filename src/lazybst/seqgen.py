@@ -20,11 +20,12 @@ from .model import SearchSequence, SearchStats, check_memory
 KINDS = ("sequential", "bitrev", "rounds", "markov", "uniform")
 RANDOM_KINDS = ("rounds", "markov", "uniform")
 
-# Peak bytes per item of generating a sequence and writing it as text;
-# tracemalloc measured at most 48 writing 19-digit keys, and 73 for a
-# markov walk whose keys mostly pass 256 (n = 1024, m = 3 million, its
-# rows included).
-ITEM_BYTES = 144
+# Peak bytes per item of generating a sequence and writing it as text.
+# tracemalloc measured at most 72.4, for a markov walk whose keys pass
+# 256 (an int object a step; n = 1024, m = 3 million, its rows
+# included), against 48 writing 19-digit keys and 41 for a markov walk
+# over keys below 257.
+ITEM_BYTES = 73
 
 # Peak bytes per cell of a default markov matrix: the walk's cumulative
 # rows as an array and as Python floats (the draw and its normalized copy

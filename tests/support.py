@@ -21,7 +21,8 @@ import numpy as np
 
 from lazybst import (GeneratorSpec, InvalidInputError, MultiTree, NO_NODE, OptResult,
                      SearchSequence, SearchStats, StaticTree, UsageError, WeightVector,
-                     build_tree, cost_from_frequencies, frequencies_from_sequence, probe)
+                     build_tree, cost_from_frequencies, frequencies_from_sequence,
+                     mehlhorn_build)
 from lazybst.cli import build_parser, main
 from lazybst.fileio import (write_freq, write_matrix, write_sequence, write_tree,
                             write_weights)
@@ -506,18 +507,45 @@ def enumerate_optimal(s: SearchStats, max_n: int = 10) -> OptResult:
     return OptResult(tree=best_shape, cost=best_cost)
 
 
-def search_costs(mt: MultiTree, x: SearchSequence) -> list[int]:
-    """Per-search comparison counts for a full pass over the sequence."""
+def successor_shapes(mt: MultiTree, s: SearchStats) -> list[StaticTree | None]:
+    """Each key's successor tree as a tree over positions 1..len(members),
+    rebuilt with mehlhorn_build from its members' counts in the table s
+    it was built from (None for a key with no members; index 0 unused)."""
+    count = dict(zip(zip(s.a.tolist(), s.b.tolist()), s.count.tolist()))
+    return [None] + [mehlhorn_build(WeightVector.from_values([count[a, b] for b in st.members]))
+                     if st.members else None
+                     for a, st in enumerate(mt.succ[1:], start=1)]
+
+
+def walk_probe(shape: StaticTree | None, members, target: int) -> tuple[bool, int]:
+    """Walk one successor tree from its root, comparing target against
+    members[position - 1] at each node; returns (hit, comparisons made)."""
+    pos = shape.root if shape is not None else NO_NODE
+    comparisons = 0
+    while pos != NO_NODE:
+        comparisons += 1
+        key = members[pos - 1]
+        if target == key:
+            return True, comparisons
+        pos = shape.left[pos] if target < key else shape.right[pos]
+    return False, comparisons
+
+
+def search_costs(mt: MultiTree, s: SearchStats, x: SearchSequence) -> list[int]:
+    """Per-search comparison counts for a full pass over the sequence,
+    walking the successor trees rebuilt from s, the count table mt was
+    built from."""
     if mt.n != x.n:
         raise InvalidInputError(f"universe mismatch: structure n={mt.n}, input n={x.n}")
     gdepth = mt.global_tree.depth
+    shapes = successor_shapes(mt, s)
     costs = []
     prev = 0
     for target in x.items.tolist():
         if prev == 0:
             costs.append(gdepth[target] + 1)
         else:
-            hit, comparisons = probe(mt.succ[prev], target)
+            hit, comparisons = walk_probe(shapes[prev], mt.succ[prev].members, target)
             if hit:
                 costs.append(comparisons)
             else:

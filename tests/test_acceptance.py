@@ -199,11 +199,9 @@ def test_criterion_9_multitree_space_and_cost():
                 violations.append((n, d, "space", node_count(mt)))
             for i in range(1, n + 1):
                 st = mt.succ[i]
-                if st.shape is None:
-                    continue
                 for pos, j in enumerate(st.members, start=1):
                     cap = 2 + 1.4405 * math.log2(out[i] / s.pair[i, j])
-                    if st.shape.depth[pos] > cap + 1e-9:
+                    if st.depths[pos - 1] > cap + 1e-9:
                         violations.append((n, d, "hit depth", i, j))
             total = run_multitree(mt, x)
             budget = 8 * x.m * (hc + 1) * (math.log2(n) / math.log2(d + 1))

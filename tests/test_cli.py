@@ -365,9 +365,10 @@ def test_large_universe_runs_under_a_memory_cap(tmp_path):
     assert done[4][1] == "df_bound\t1433.953212\n"
     assert grab(done[5][1], "n") == "100000" and grab(done[5][1], "m") == "50"
     x = read_sequence(Path(seq).read_text())
-    mt = build_multitree(frequencies_from_sequence(x), 1)
+    s = frequencies_from_sequence(x)
+    mt = build_multitree(s, 1)
     assert grab(done[6][1], "nodes") == "100049"
-    assert grab(done[6][1], "total_comparisons") == str(sum(search_costs(mt, x)))
+    assert grab(done[6][1], "total_comparisons") == str(sum(search_costs(mt, s, x)))
     code, out, err = done[8]
     assert code == 1 and out == "" and err.count("\n") == 1 and err.startswith("error: ")
     assert f"n={10**12} needs" in err
@@ -509,7 +510,7 @@ def test_split_built_trees_do_not_pass_through_build_tree(tmp_path, capsys, monk
     calls = [lambda: build_balanced(24), lambda: lazybst.mehlhorn_build(w),
              lambda: lazybst.treap_build(w, 4), lambda: lazybst.optimal_lazy_dp(s).tree,
              lambda: lazybst.optimal_root_dp(s).tree,
-             lambda: [st.shape for st in build_multitree(s, 4).succ]]
+             lambda: [st.depths for st in build_multitree(s, 4).succ]]
     expected = [call() for call in calls]
     seq = seq_file(tmp_path, "x.seq", 24, x.items)
     want = run(capsys, "compare", "--seq", seq, "--seed", "3")

@@ -7,7 +7,7 @@ import pytest
 from lazybst import (GeneratorSpec, InvalidInputError, SearchSequence, UsageError,
                      build_multitree, conditional_entropy, frequencies_from_sequence,
                      generate, node_count, probe, run_multitree, validate_tree)
-from support import random_sequence, search_costs
+from support import random_sequence, search_costs, successor_shapes, walk_probe
 
 
 def test_build_examples():
@@ -18,7 +18,7 @@ def test_build_examples():
     assert mt.succ[2].members == (1,)
     assert mt.succ[3].members == ()
     # the root key of each successor tree, 0 if none
-    roots = [st.members[st.shape.root - 1] if st.shape else 0 for st in mt.succ]
+    roots = [st.members[st.depths.index(0)] if st.members else 0 for st in mt.succ]
     assert roots[1] == 2 and roots[2] == 1 and roots[3] == 0
     total = run_multitree(mt, x)
     assert total == (mt.global_tree.depth[1] + 1) + (x.m - 1) * 1
@@ -71,12 +71,15 @@ def test_succ_trees_are_valid_and_small():
         d = rng.randint(1, n)
         mt = build_multitree(s, d)
         assert node_count(mt) <= n * (d + 1)
+        shapes = successor_shapes(mt, s)
         for i in range(1, n + 1):
             st = mt.succ[i]
             assert len(st.members) <= d
-            if st.shape is not None:
-                assert validate_tree(st.shape)
-                assert st.shape.n == len(st.members)
+            assert len(st.depths) == len(st.members)
+            if st.members:
+                # the weight-bisection tree over the kept counts
+                assert validate_tree(shapes[i])
+                assert st.depths == shapes[i].depth[1:]
             assert list(st.members) == sorted(st.members)
 
 
@@ -87,7 +90,7 @@ def test_probe_costs():
     st = mt.succ[1]
     assert st.members == (2, 3)  # counts 3, 1, 1 -> keep 2 and 3 (tie, smaller key)
     hit, c = probe(st, 2)
-    assert hit and c == st.shape.depth[st.members.index(2) + 1] + 1
+    assert hit and c == st.depths[st.members.index(2)] + 1
     miss, c = probe(st, 7)
     assert not miss and c >= 1
     assert probe(mt.succ[4], 1) == (False, 0)  # key 4 never searched: empty tree
@@ -103,7 +106,7 @@ def test_miss_ranking_property_and_miss_cost_bound():
         mt = build_multitree(s, d)
         gh = max(mt.global_tree.depth[1:])
         items = x.items.tolist()
-        costs = search_costs(mt, x)
+        costs = search_costs(mt, s, x)
         for idx in range(1, len(items)):
             i, j = items[idx - 1], items[idx]
             st = mt.succ[i]
@@ -118,7 +121,7 @@ def test_miss_ranking_property_and_miss_cost_bound():
                 # under capacity every nonzero successor was kept
                 assert int(row[j]) == 0
             # height bounds of both phases cap the miss cost
-            ti_h = (max(st.shape.depth[1:]) + 1) if st.shape is not None else 0
+            ti_h = max(st.depths, default=-1) + 1
             assert costs[idx] <= ti_h + gh + 1
 
 
@@ -139,7 +142,7 @@ def test_miss_bound_example_all_distinct():
     x = SearchSequence(n, list(range(1, n + 1)))
     s = frequencies_from_sequence(x)
     mt = build_multitree(s, 4)
-    costs = search_costs(mt, x)
+    costs = search_costs(mt, s, x)
     cap = math.ceil(math.log2(4 + 1)) + math.ceil(math.log2(n + 1)) + 1
     assert all(c <= cap for c in costs[1:])
 
@@ -158,18 +161,20 @@ def test_count_table_total_equals_per_search_walk():
                 s = frequencies_from_sequence(x)
                 for d in sorted({1, n, rng.randint(1, n)}):
                     mt = build_multitree(s, d)
-                    assert run_multitree(mt, x) == sum(search_costs(mt, x))
+                    assert run_multitree(mt, x) == sum(search_costs(mt, s, x))
                     cases += 1
     assert cases > 100
     # a structure built from another sequence: most transitions miss
     x = SearchSequence(6, [3, 3, 1, 6, 3, 3, 2])
-    mt = build_multitree(frequencies_from_sequence(SearchSequence(6, [1, 2, 3, 1, 2])), 2)
-    assert run_multitree(mt, x) == sum(search_costs(mt, x))
+    s = frequencies_from_sequence(SearchSequence(6, [1, 2, 3, 1, 2]))
+    mt = build_multitree(s, 2)
+    assert run_multitree(mt, x) == sum(search_costs(mt, s, x))
 
 
 def test_every_transition_costs_its_probe_plus_the_miss_descent():
+    # probe equals the walk down the rebuilt successor tree, and
     # run_multitree on the two searches a, b costs the descent to a plus
-    # the transition a -> b alone.
+    # that walk alone.
     rng = random.Random(8)
     checked = misses_outside = no_successors = 0
     for n in (1, 2, 5, 17, 40):
@@ -184,10 +189,12 @@ def test_every_transition_costs_its_probe_plus_the_miss_descent():
             for d in sorted({1, min(3, n), n}):
                 mt = build_multitree(s, d)
                 gdepth = mt.global_tree.depth
+                shapes = successor_shapes(mt, s)
                 for a in range(1, n + 1):
                     members = mt.succ[a].members
                     for b in range(1, n + 1):
-                        hit, comparisons = probe(mt.succ[a], b)
+                        hit, comparisons = walk_probe(shapes[a], members, b)
+                        assert probe(mt.succ[a], b) == (hit, comparisons), (n, d, a, b)
                         expect = comparisons if hit else comparisons + gdepth[b] + 1
                         got = run_multitree(mt, SearchSequence(n, [a, b])) - gdepth[a] - 1
                         assert got == expect, (n, d, a, b)

@@ -137,10 +137,17 @@ def test_markov_walk_matches_the_per_step_loop(monkeypatch):
 
 def test_generating_and_writing_stay_within_the_item_budget():
     # Both writer paths: each key's text from a table (n <= m), and
-    # str() of 19-digit keys (n > m).
-    m = 60000
-    for spec in (GeneratorSpec("markov", 64, m, seed=1),
-                 GeneratorSpec("uniform", 2**63 - 1, m, seed=1)):
+    # str() of 19-digit keys (n > m).  The worst case is a markov walk
+    # whose every step lands past key 256, an int object a step; its
+    # (n+1)^2 rows are held through the walk as Python floats, 32 bytes
+    # each with its list slot.
+    far = np.zeros((300, 300))
+    far[:, 256:] = 1 / 44
+    for spec, rows in ((GeneratorSpec("markov", 64, 60000, seed=1), 0),
+                       (GeneratorSpec("uniform", 2**63 - 1, 60000, seed=1), 0),
+                       (GeneratorSpec("markov", 300, 200000, seed=1, matrix=far),
+                        32 * 301 * 301)):
+        m = spec.m
         tracemalloc.start()
         try:
             x = generate(spec)
@@ -151,7 +158,7 @@ def test_generating_and_writing_stay_within_the_item_budget():
         finally:
             tracemalloc.stop()
         peak = max(gen_peak, write_peak)
-        assert peak <= ITEM_BYTES * m, (spec.kind, peak / m)
+        assert peak <= ITEM_BYTES * m + rows, (spec.kind, (peak - rows) / m)
         # The writer holds the items, the text twice (joined, then with
         # its header) and one block of items as objects: no list of all.
         assert write_peak <= 8 * m + 2 * len(text) + 2**20, (spec.kind, write_peak / m)
