@@ -28,5 +28,6 @@ __all__ = [
     "build_balanced", "build_multitree", "build_tree", "conditional_entropy",
     "cost_from_frequencies", "df_bound", "entropy", "frequencies_from_sequence",
     "generate", "mehlhorn_build", "node_count", "optimal_lazy_dp", "optimal_root_dp",
-    "probe", "run_lazy_finger", "run_multitree", "run_root_finger", "treap_build", "validate_tree", "weights_from_tree",
+    "probe", "run_lazy_finger", "run_multitree", "run_root_finger", "treap_build",
+    "validate_tree", "weights_from_tree",
 ]

@@ -112,20 +112,19 @@ def cmd_opt(args) -> int:
 
 
 def cmd_build(args) -> int:
+    # Each flag is required by the kinds that read it and refused by the rest.
+    for flag, value, kinds in (("--n", args.n, ("balanced",)),
+                               ("--weights", args.weights, ("mehlhorn", "treap")),
+                               ("--seed", args.seed, ("treap",))):
+        if value is None and args.kind in kinds:
+            raise UsageError(f"{flag} is required for {args.kind}")
+        if value is not None and args.kind not in kinds:
+            raise UsageError(f"{flag} applies only to kind {' or '.join(kinds)}")
     if args.kind == "balanced":
-        if args.n is None:
-            raise UsageError("--n is required for balanced")
         tree = build_balanced(args.n)
     else:
-        if args.weights is None:
-            raise UsageError(f"--weights is required for {args.kind}")
         w = fileio.read_weights(_read(args.weights))
-        if args.kind == "mehlhorn":
-            tree = mehlhorn_build(w)
-        else:
-            if args.seed is None:
-                raise UsageError("--seed is required for treap")
-            tree = treap_build(w, args.seed)
+        tree = mehlhorn_build(w) if args.kind == "mehlhorn" else treap_build(w, args.seed)
     _emit(fileio.write_tree(tree), args.out)
     return 0
 

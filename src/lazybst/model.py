@@ -16,12 +16,12 @@ tree the package makes comes from ``tree_from_splits``; ``build_tree``
 only reads child tables given from outside, such as a tree file's.
 
 Every dense table whose size grows with n (a sequence's per-key search
-counts, the dense pair view, the cut and DP tables, the default markov
-matrix, a balanced tree's tables) and every generated sequence is first
-checked against one memory budget, ``MEMORY_BUDGET``, by
-``check_memory``.  A sequence's count table needs no (n+1)^2 table:
-when that table would be large next to m or past the budget, its
-transitions are counted by sorting (``SearchSequence.stats``).
+counts, the dense pair view, the lazy optimizer's pair table and the DP
+tables, a balanced tree's tables) and every generated sequence, with a
+markov walk's rows, is first checked against one memory budget,
+``MEMORY_BUDGET``, by ``check_memory``.  A sequence's count table needs
+no (n+1)^2 table: when that table would be large next to m or past the
+budget, its transitions are counted by sorting (``SearchSequence.stats``).
 """
 
 from __future__ import annotations

@@ -3,22 +3,23 @@
 Both exact optimizers run one interval dynamic program, ``_interval_dp``:
 a tree's cost in either model is the sum, over its non-root nodes v, of
 a weight of the key interval subtree(v).  For the lazy finger that
-weight is ``cut_table``, the transitions with exactly one endpoint in
-the interval, since a transition crosses the edge above v exactly when
-one of its endpoints lies in subtree(v); it is built from the count
-table's triples in one table.  For the root finger the weight is the
-search count.  The kernel does O(n^3) work, one vectorized slab per
-interval length, and keeps only G, the cheapest cost plus weight of
-every interval; the tree walk recovers each interval's root from it.
-All tie-breaks prefer the smallest root per interval, which makes every
-optimizer deterministic.
+weight is the cut, the transitions with exactly one endpoint in the
+interval, since a transition crosses the edge above v exactly when one
+of its endpoints lies in subtree(v).  For the root finger it is the
+search count.  The kernel reads the weights one interval length at a
+time, in length order; the cuts stream from a pair table
+(``_cut_weights``), one length following from the one before it.  The
+kernel does O(n^3) work, one vectorized slab per interval length, and
+keeps only G, the cheapest cost plus weight of every interval; the tree
+walk recovers each interval's root from it.  All tie-breaks prefer the
+smallest root per interval, which makes every optimizer deterministic.
 
 Every value the kernel stores is at most the cost of some tree on an
 interval plus its weight: 2 n (total transition count) for the lazy
 finger and n (total searches) for the root finger, taken from the count
 arrays themselves.  The kernel's tables are int32 when that bound is
-below 2^31 and int64 otherwise.  The lazy optimizer's cut table is built
-at the same width, and the cut and the DP tables are checked against the
+below 2^31 and int64 otherwise.  The lazy optimizer's pair table is at
+the same width, and the pair and the DP tables are checked against the
 memory budget together, before either is built.
 
 Every builder here only picks a root per key interval; the tree itself
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from collections.abc import Callable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +65,12 @@ def _dp_bytes(n: int, bound: int) -> int:
     return (9 * np.dtype(_cost_dtype(bound)).itemsize // 4 + 1) * (n + 1) ** 2
 
 
-def _interval_dp(n: int, weight: Callable[[int], np.ndarray], bound: int) -> OptResult:
-    """Cheapest tree on 1..n whose cost is the sum of ``weight`` over the
+def _interval_dp(n: int, weights: Iterable[np.ndarray], bound: int) -> OptResult:
+    """Cheapest tree on 1..n whose cost is the sum of the weights over the
     subtrees of its non-root nodes.
 
-    ``weight(ln)[i]`` is the weight of the key interval i+1..i+ln.  With
+    ``weights`` yields one array per interval length ln = 1..n, in that
+    order; its [i] is the weight of the key interval i+1..i+ln.  With
     ``G = cost + weight`` and ``G(empty) = 0`` the recurrence is
     ``cost[a, b] = min_r G[a, r-1] + G[r+1, b]``.  G is kept by length,
     once by start and once by end with the lengths reversed, so the
@@ -87,47 +89,41 @@ def _interval_dp(n: int, weight: Callable[[int], np.ndarray], bound: int) -> Opt
     H = np.zeros((n + 1, n + 1), dtype=dtype)     # H[len, a] = G[a, a+len-1]
     E = np.zeros((n + 1, n + 1), dtype=dtype)     # E[n-len, b] = G[b-len+1, b]
     buf = np.empty((n + 1) ** 2 // 4, dtype=dtype)
-    for ln in range(1, n + 1):
+    for ln, weight in zip(range(1, n + 1), weights):
         A = n - ln + 1
         G = H[ln, 1:A + 1]
         slab = np.add(H[:ln, 1:A + 1], E[A:, ln:], out=buf[:A * ln].reshape(ln, A))
         np.minimum.reduce(slab, axis=0, out=G)
-        G += weight(ln)
+        G += weight
         E[n - ln, ln:] = G
     tree = tree_from_splits(
         n, lambda a, b: a + int(np.argmin(H[:b - a + 1, a] + E[n - b + a:, b])))
-    return OptResult(tree=tree, cost=int(H[n, 1] - weight(n)[0]))
+    return OptResult(tree=tree, cost=int(H[n, 1] - weight[0]))
 
 
-def cut_table(s: SearchStats) -> np.ndarray:
-    """``cut[i, j]`` (0 <= i <= j <= n): transitions with exactly one
-    endpoint in the key interval i+1..j; entries with i > j are junk.
+def _cut_weights(s: SearchStats, dtype: type[np.signedinteger]) -> Iterator[np.ndarray]:
+    """The cut of every key interval, length by length: the ln-th
+    array's [i] counts the transitions with exactly one endpoint in
+    i+1..i+ln.
 
-    With P the 2D prefix sums of the count table and ``g = pair +
-    pair^T``, g's prefix sums are ``P + P^T`` and the cut is the row
-    total of g over the interval minus g summed over the square
-    interval x interval.  All of it is built in one table, in place, at
-    the lazy DP's width.  Array integer arithmetic wraps modulo 2^width
-    and every cut is at most the total count, within the width, so the
-    cuts are exact even where the steps that make them wrap.
+    Adding key k = i+ln to i+1..i+ln-1 adds D_ln[i] to its cut: k's
+    transitions to keys outside the interval less those to keys inside
+    it.  That is D_{ln-1}[i+1] less twice the transitions between k and
+    i+1, at key distance ln-1; so from D_0 = deg, each key's transitions
+    to other keys, and C_0 = 0, each length is three vector steps.
+    Every value is at most 2 (total count) in magnitude, so nothing
+    wraps at the lazy DP's width, the width of the pair table read here.
     """
     n = s.n
-    dtype = _cost_dtype(_lazy_bound(s))
-    # the table itself; measured peaks 4.0-4.3 bytes a cell at int32 and
-    # 8.0-8.5 at int64, from n = 384 up
-    check_memory(n, (np.dtype(dtype).itemsize + 1) * (n + 1) ** 2, "cut table")
-    cut = np.zeros((n + 1, n + 1), dtype=dtype)
-    cut[s.a, s.b] = s.count
-    np.cumsum(cut, axis=0, dtype=dtype, out=cut)
-    np.cumsum(cut, axis=1, dtype=dtype, out=cut)
-    rows = cut[:, n] + cut[n, :]   # rows[i] = sum of g over rows 1..i
-    for i in range(n + 1):         # upper triangle of P + P^T
-        cut[i, i:] += cut[i:, i]
-    d = np.diagonal(cut).copy()    # d[i] = sum of g over (1..i) x (1..i)
-    cut *= 2
-    cut += rows - d
-    cut -= (rows + d)[:, None]
-    return cut
+    pair = np.zeros((n + 1, n + 1), dtype=dtype)
+    pair[s.a, s.b] = s.count
+    np.fill_diagonal(pair, 0)   # a -> a crosses no edge
+    d = pair.sum(axis=0, dtype=dtype) + pair.sum(axis=1, dtype=dtype)
+    c = np.zeros(n + 1, dtype=dtype)
+    for ln in range(1, n + 1):
+        d = d[1:] - 2 * (np.diagonal(pair, ln - 1)[1:] + np.diagonal(pair, 1 - ln)[1:])
+        c = c[:-1] + d
+        yield c
 
 
 def optimal_lazy_dp(s: SearchStats) -> OptResult:
@@ -135,16 +131,16 @@ def optimal_lazy_dp(s: SearchStats) -> OptResult:
     weights, since a transition crosses the edge above v exactly when
     one of its endpoints lies in subtree(v).
 
-    The cut table is built at the DP's width, from the same bound.
+    The cut weights stream from a pair table at the DP's width.
     """
     n = s.n
     bound = _lazy_bound(s)
-    # Held at once: the cut and the DP tables, 14 and 27 bytes a cell
-    # (measured peaks 13.1-13.5 and 26.1-26.9 from n = 384 to 1024).
-    check_memory(n, np.dtype(_cost_dtype(bound)).itemsize * (n + 1) ** 2
+    dtype = _cost_dtype(bound)
+    # Held at once: the pair and the DP tables, 14 and 27 bytes a cell
+    # (measured peaks 13.1-13.5 and 26.1-27.0 from n = 384 to 1024).
+    check_memory(n, np.dtype(dtype).itemsize * (n + 1) ** 2
                  + _dp_bytes(n, bound), "lazy optimizer tables")
-    cut = cut_table(s)
-    return _interval_dp(n, lambda ln: np.diagonal(cut, ln), bound)
+    return _interval_dp(n, _cut_weights(s, dtype), bound)
 
 
 def optimal_root_dp(s: SearchStats) -> OptResult:
@@ -154,7 +150,8 @@ def optimal_root_dp(s: SearchStats) -> OptResult:
     at most ln to G of an interval of ln keys holding its key, so n
     (total searches) bounds the DP's values."""
     w = np.cumsum(s.searches)   # slot 0 is always 0
-    return _interval_dp(s.n, lambda ln: w[ln:] - w[:-ln], s.n * int(w[-1]))
+    n = s.n
+    return _interval_dp(n, (w[ln:] - w[:-ln] for ln in range(1, n + 1)), n * int(w[-1]))
 
 
 def mehlhorn_build(w: WeightVector) -> StaticTree:

@@ -27,9 +27,11 @@ RANDOM_KINDS = ("rounds", "markov", "uniform")
 # over keys below 257.
 ITEM_BYTES = 73
 
-# Peak bytes per cell of a default markov matrix: the walk's cumulative
-# rows as an array and as Python floats (the draw and its normalized copy
-# are freed first); tracemalloc measured 40.14 at n = 1024.
+# Peak bytes per cell of a markov walk's rows: its cumulative rows as an
+# array and as Python floats (a default matrix's draw and normalized copy
+# are freed first); tracemalloc measured 40.14 at n = 1024 for the
+# default and for an explicit matrix.  The walk holds the rows with its
+# items, so one check charges both.
 CELL_BYTES = 41
 
 
@@ -47,7 +49,6 @@ class GeneratorSpec:
 def _default_matrix(rng: np.random.Generator, n: int, concentration: float) -> np.ndarray:
     if not 0.0 <= concentration < math.inf:
         raise UsageError(f"concentration must be nonnegative and finite, got {concentration}")
-    check_memory(n, CELL_BYTES * n * n, "markov transition matrix")
     # Normalized Gamma rows == Dirichlet rows; one matrix-shaped draw
     # keeps the byte layout of the randomness fixed.
     g = rng.gamma(concentration, 1.0, size=(n, n))
@@ -97,7 +98,8 @@ def generate(spec: GeneratorSpec) -> SearchSequence:
         raise UsageError("m must be >= 0")
     if kind == "bitrev" and n & (n - 1):
         raise UsageError("bitrev needs n to be a power of two")
-    check_memory(n, ITEM_BYTES * m, f"sequence of m={m} searches")
+    row_bytes = CELL_BYTES * n * n if kind == "markov" else 0
+    check_memory(n, row_bytes + ITEM_BYTES * m, f"sequence of m={m} searches")
 
     if kind == "sequential":
         return SearchSequence(n, np.arange(m, dtype=np.int64) % n + 1)

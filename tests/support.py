@@ -1,9 +1,9 @@
 """Shared helpers for the test suite: random instances, fixed count
 files, count tables from dense pair tables, independent oracles (tree
-distances, tree validation, brute-force and exhaustive optimizers, the
-per-search multitree walk, the per-step markov walk), the Eulerian
-stitcher that turns a count table back into a sequence, and the seeded
-fuzz of the readers and of the command line."""
+distances, tree validation, the lazy DP's whole cut table, brute-force
+and exhaustive optimizers, the per-search multitree walk, the per-step
+markov walk), the Eulerian stitcher that turns a count table back into
+a sequence, and the seeded fuzz of the readers and of the command line."""
 
 from __future__ import annotations
 
@@ -26,7 +26,8 @@ from lazybst import (GeneratorSpec, InvalidInputError, MultiTree, NO_NODE, OptRe
 from lazybst.cli import build_parser, main
 from lazybst.fileio import (write_freq, write_matrix, write_sequence, write_tree,
                             write_weights)
-from lazybst.model import tree_from_splits
+from lazybst.model import check_memory, tree_from_splits
+from lazybst.optimize import _cost_dtype, _lazy_bound
 from lazybst.seqgen import _default_matrix
 
 # Count files whose totals wrap in int64 (they pass every identity there),
@@ -382,6 +383,37 @@ def distance_matrix(t: StaticTree) -> np.ndarray:
                         nxt.append(w)
             frontier = nxt
     return dist
+
+
+def cut_table(s: SearchStats) -> np.ndarray:
+    """``cut[i, j]`` (0 <= i <= j <= n): transitions with exactly one
+    endpoint in the key interval i+1..j; entries with i > j are junk.
+
+    With P the 2D prefix sums of the count table and ``g = pair +
+    pair^T``, g's prefix sums are ``P + P^T`` and the cut is the row
+    total of g over the interval minus g summed over the square
+    interval x interval.  All of it is built in one table, in place, at
+    the lazy DP's width.  Array integer arithmetic wraps modulo 2^width
+    and every cut is at most the total count, within the width, so the
+    cuts are exact even where the steps that make them wrap.
+    """
+    n = s.n
+    dtype = _cost_dtype(_lazy_bound(s))
+    # the table itself; measured peaks 4.0-4.3 bytes a cell at int32 and
+    # 8.0-8.5 at int64, from n = 384 up
+    check_memory(n, (np.dtype(dtype).itemsize + 1) * (n + 1) ** 2, "cut table")
+    cut = np.zeros((n + 1, n + 1), dtype=dtype)
+    cut[s.a, s.b] = s.count
+    np.cumsum(cut, axis=0, dtype=dtype, out=cut)
+    np.cumsum(cut, axis=1, dtype=dtype, out=cut)
+    rows = cut[:, n] + cut[n, :]   # rows[i] = sum of g over rows 1..i
+    for i in range(n + 1):         # upper triangle of P + P^T
+        cut[i, i:] += cut[i:, i]
+    d = np.diagonal(cut).copy()    # d[i] = sum of g over (1..i) x (1..i)
+    cut *= 2
+    cut += rows - d
+    cut -= (rows + d)[:, None]
+    return cut
 
 
 def optimal_lazy_naive(s: SearchStats) -> OptResult:

@@ -435,6 +435,24 @@ def test_build_kinds(tmp_path, capsys):
     assert code == 0
     read_tree(stdout)  # stdout fallback emits a parseable tree
 
+    # Each kind needs the flags it reads and refuses those it would
+    # ignore, with nothing written.
+    out.unlink()
+    w = str(wfile)
+    only = "applies only to kind"
+    for argv, message in ((["mehlhorn", "--weights", w, "--n", "7"], f"--n {only} balanced"),
+                          (["treap", "--weights", w, "--seed", "1", "--n", "3"],
+                           f"--n {only} balanced"),
+                          (["balanced", "--n", "3", "--weights", w],
+                           f"--weights {only} mehlhorn or treap"),
+                          (["balanced", "--n", "3", "--seed", "1"], f"--seed {only} treap"),
+                          (["mehlhorn", "--weights", w, "--seed", "1"], f"--seed {only} treap"),
+                          (["balanced"], "--n is required for balanced"),
+                          (["treap", "--seed", "1"], "--weights is required for treap")):
+        code, stdout, err = run(capsys, "build", "--kind", *argv, "--out", str(out))
+        assert (code, stdout, err) == (1, "", f"error: {message}\n"), argv
+        assert not out.exists()
+
 
 def test_multitree_report(tmp_path, capsys):
     seq = seq_file(tmp_path, "x.seq", 4, [1, 2, 3, 4, 1, 2, 3, 4])

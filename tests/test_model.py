@@ -9,10 +9,9 @@ from lazybst import (InvalidInputError, SearchSequence, StaticTree,
                      UsageError, build_balanced, build_tree, validate_tree)
 from lazybst import model
 from lazybst.fileio import read_freq
-from lazybst.model import MEMORY_BUDGET, tree_from_splits
-from lazybst.optimize import _interval_dp, cut_table, optimal_lazy_dp
-from lazybst.seqgen import GeneratorSpec, _default_matrix, frequencies_from_sequence, \
-    generate
+from lazybst.model import tree_from_splits
+from lazybst.optimize import _cut_weights, _interval_dp, optimal_lazy_dp
+from lazybst.seqgen import GeneratorSpec, frequencies_from_sequence, generate
 from support import (distance_matrix, lca, path_tree, random_pair_stats, random_tree,
                      stats_from_pair_counts, step_cost, subtree_intervals,
                      validate_tree_inorder, vee_tree, walk_step_oracle)
@@ -234,10 +233,10 @@ def test_memory_budget_refuses_before_allocating():
     freq = f"{n} 2 1 2\n1 1" + " 0" * (n - 2) + "\n1 2 1\n"
     calls = [
         ("count table", lambda: read_freq(freq).pair),
-        ("cut table", lambda: cut_table(read_freq(freq))),
+        ("lazy optimizer tables", lambda: optimal_lazy_dp(read_freq(freq))),
         ("interval DP tables", lambda: _interval_dp(n, None, 0)),
-        ("markov transition matrix",
-         lambda: _default_matrix(np.random.default_rng(0), n, 0.2)),
+        ("sequence of m=2 searches",
+         lambda: generate(GeneratorSpec("markov", n, 2, seed=0))),
     ]
     for what, call in calls:
         tracemalloc.start()
@@ -275,8 +274,9 @@ def test_memory_budget_refuses_before_allocating():
 
 
 def test_lazy_optimizer_checks_its_tables_once_before_the_cut(monkeypatch):
-    # The lazy optimizer holds the cut table, at the DP's width, and the
-    # DP tables at once: 4 + 10 bytes a cell at int32 and 8 + 19 at int64.
+    # The lazy optimizer holds the pair table its cut weights stream from,
+    # at the DP's width, and the DP tables at once: 4 + 10 bytes a cell
+    # at int32 and 8 + 19 at int64.
     n = 20
     cells = (n + 1) ** 2
     rng = np.random.default_rng(20)
@@ -292,7 +292,7 @@ def test_lazy_optimizer_checks_its_tables_once_before_the_cut(monkeypatch):
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 8 * cells, peak   # not even the int64 cut table
+            assert peak < 8 * cells, peak   # not even the int64 pair table
             mp.setattr(model, "MEMORY_BUDGET", per_cell * cells)
             got = optimal_lazy_dp(s)
         assert (got.cost, got.tree) == (want.cost, want.tree)
@@ -334,6 +334,9 @@ def test_count_table_sort_path_matches_bincount(monkeypatch):
             assert got.tolist() == getattr(dense, name).tolist(), name
         assert (sparse.n, sparse.m, sparse.first, sparse.last) == \
             (dense.n, dense.m, dense.first, dense.last)
-    # n = 2048 passes the count-table and cut-table checks
+    # n = 2048 passes the count-table check, and its cut weights stream
+    # at int32: keys 1 and 2048 cross two transitions, the universe none.
     s = frequencies_from_sequence(SearchSequence(2048, [1, 2048, 1]))
-    assert cut_table(s).nbytes < MEMORY_BUDGET
+    weights = list(_cut_weights(s, np.int32))
+    assert np.flatnonzero(weights[0]).tolist() == [0, 2047] and weights[0][0] == 2
+    assert weights[-1].tolist() == [0]

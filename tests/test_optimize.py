@@ -13,8 +13,8 @@ from lazybst import (GeneratorSpec, InvalidInputError, SearchSequence, SearchSta
                      run_root_finger, treap_build, validate_tree, weights_from_tree)
 from lazybst import model
 from lazybst.fileio import write_tree
-from lazybst.optimize import cut_table
-from support import (_all_shapes, enumerate_optimal, optimal_lazy_naive,
+from lazybst.optimize import _cost_dtype, _cut_weights, _lazy_bound
+from support import (_all_shapes, cut_table, enumerate_optimal, optimal_lazy_naive,
                      optimal_root_naive, random_pair_stats, random_sequence,
                      stats_from_pair_counts, stitch_sequence, subtree_intervals)
 
@@ -26,7 +26,15 @@ def _alternating_stats():
     return stats_from_pair_counts(3, pair)
 
 
+def _streamed_cuts(s, dtype=None):
+    """The streamed cut weights, one array a length, at ``dtype`` or else
+    at the lazy DP's width."""
+    return list(_cut_weights(s, dtype or _cost_dtype(_lazy_bound(s))))
+
+
 def test_cut_table_matches_literal_count():
+    # The oracle table against the literal count, and every streamed
+    # length against the oracle's diagonal.
     rng = random.Random(8)
     for _ in range(40):
         n = rng.randint(1, 12)
@@ -35,26 +43,54 @@ def test_cut_table_matches_literal_count():
         for a in range(1, n + 1):
             for b in range(a, n + 1):
                 assert cut[a - 1, b] == _literal_cut(s, a, b)
+        for ln, w in enumerate(_streamed_cuts(s), 1):
+            assert w.tolist() == np.diagonal(cut, ln).tolist()
 
 
-def test_cut_table_is_one_table_in_place():
+def test_streamed_cut_weights_equal_the_oracle_diagonals_at_both_widths():
+    rng = random.Random(9)
+    for _ in range(300):
+        n = rng.randint(1, 20)
+        s = random_pair_stats(rng, n, max_count=rng.choice([1, 9, 1000]))
+        assert _lazy_bound(s) < 2**31
+        cut = cut_table(s)
+        for dtype in (np.int32, np.int64):
+            weights = _streamed_cuts(s, dtype)
+            assert len(weights) == n
+            for ln, w in enumerate(weights, 1):
+                assert w.dtype == dtype
+                assert w.tolist() == np.diagonal(cut, ln).tolist(), (n, ln, dtype)
+
+
+def _dense_stream_peak(s, dtype):
+    """tracemalloc's peak while the cut weights stream at the lazy DP's
+    width, keeping only the first and the last length; those are checked
+    after: the width, single keys against the count table, and the whole
+    universe's cut of 0."""
+    tracemalloc.start()
+    try:
+        weights = _cut_weights(s, _cost_dtype(_lazy_bound(s)))
+        first = last = next(weights)
+        for last in weights:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.dtype == last.dtype == dtype
+    pair = s.pair
+    for k in (1, 200, s.n):
+        assert first[k - 1] == int(pair[k].sum() + pair[:, k].sum() - 2 * pair[k, k])
+    assert last.tolist() == [0]
+    return peak
+
+
+def test_cut_weights_stream_from_one_table():
     n = 512
     rng = np.random.default_rng(12)
     # every transition occurs: the densest count table of n keys
     s = stats_from_pair_counts(n, rng.integers(1, 100, size=(n + 1, n + 1)))
-    tracemalloc.start()
-    try:
-        cut = cut_table(s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _dense_stream_peak(s, np.int64)
     assert peak < 12 * (n + 1) ** 2
-    assert cut.shape == (n + 1, n + 1) and cut.dtype == np.int64
-    # the whole universe and a single key against the count table
-    assert cut[0, n] == 0
-    pair = s.pair
-    for k in (1, 200, n):
-        assert cut[k - 1, k] == int(pair[k].sum() + pair[:, k].sum() - 2 * pair[k, k])
 
 
 def _literal_cut(s, a, b):
@@ -64,7 +100,13 @@ def _literal_cut(s, a, b):
                if (a <= i <= b) != (a <= j <= b))
 
 
-def test_cut_table_takes_the_lazy_dp_width():
+def _assert_literal_cuts(s, dtype):
+    for ln, w in enumerate(_streamed_cuts(s), 1):
+        assert w.dtype == dtype, (s.n, ln)
+        assert w.tolist() == [_literal_cut(s, a, a + ln - 1) for a in range(1, s.n - ln + 2)]
+
+
+def test_cut_weights_take_the_lazy_dp_width():
     # The lazy DP's bound is 2 n (total count): int32 below 2^31.
     rng = random.Random(2033)
     for n in (1, 2, 5):
@@ -72,59 +114,32 @@ def test_cut_table_takes_the_lazy_dp_width():
         for total, dtype in ((below, np.int32), (below + 1, np.int64)):
             s = _table_with_total(rng, n, total) if n > 1 else \
                 stats_from_pair_counts(1, [[0, 0], [0, total]])
-            cut = cut_table(s)
-            assert cut.dtype == dtype, (n, total)
-            for a in range(1, n + 1):
-                for b in range(a, n + 1):
-                    assert cut[a - 1, b] == _literal_cut(s, a, b)
+            _assert_literal_cuts(s, dtype)
 
 
-def test_int32_cut_table_wraps_to_the_exact_cuts():
-    # The steps that make a cut reach a few times the total count, past
-    # the bound 2 n (total count) when n is small.  At n = 1 the upper
-    # triangle of P + P^T is 2 (total), and doubling it passes 2^31;
-    # the final subtraction wraps back to the cut.
+def test_int32_cut_weights_stay_exact_at_the_width_extreme():
+    # Every value the stream makes is at most 2 (total count) in
+    # magnitude, within int32 whenever the DP's bound 2 n (total) is.
+    # At n = 1 the one transition is a self-loop and crosses nothing; at
+    # n = 2 the pairs between the two keys reach that magnitude.
     total = 2**30 - 1
     s = stats_from_pair_counts(1, [[0, 0], [0, total]])
     assert 2 * total < 2**31 <= 4 * total
-    cut = cut_table(s)
-    assert cut.dtype == np.int32
-    assert cut[0, 1] == _literal_cut(s, 1, 1) == 0
-    assert cut[0, 0] == cut[1, 1] == 0   # the empty intervals
+    assert _streamed_cuts(s)[0].dtype == np.int32
+    _assert_literal_cuts(s, np.int32)
+    total = (2**31 - 1) // 4
+    s = stats_from_pair_counts(2, [[0, 0, 0], [0, 0, total // 2], [0, total - total // 2, 0]])
+    _assert_literal_cuts(s, np.int32)
+    assert [w.tolist() for w in _streamed_cuts(s)] == [[total, total], [0]]
 
 
-def test_int32_cut_table_takes_5_bytes_a_cell():
+def test_int32_cut_weights_take_5_bytes_a_cell():
     n = 512
     rng = np.random.default_rng(14)
     s = stats_from_pair_counts(n, rng.integers(0, 8, size=(n + 1, n + 1)))
     assert 2 * n * int(s.count.sum()) < 2**31
-    tracemalloc.start()
-    try:
-        cut = cut_table(s)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert cut.dtype == np.int32
+    peak = _dense_stream_peak(s, np.int32)
     assert peak <= 5 * (n + 1) ** 2, peak / (n + 1) ** 2
-    pair = s.pair
-    for k in (1, 200, n):
-        assert cut[k - 1, k] == int(pair[k].sum() + pair[:, k].sum() - 2 * pair[k, k])
-
-
-def test_lazy_dp_tables_take_16_bytes_a_cell_at_int32_and_30_at_int64():
-    n = 512
-    rng = np.random.default_rng(13)
-    for high, fits, per_cell in ((2, True, 16), (100, False, 30)):
-        s = stats_from_pair_counts(n, rng.integers(0, high, size=(n + 1, n + 1)))
-        assert (2 * n * int(s.count.sum()) < 2**31) == fits
-        tracemalloc.start()
-        try:
-            res = optimal_lazy_dp(s)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= per_cell * (n + 1) ** 2, (high, peak / (n + 1) ** 2)
-        assert cost_from_frequencies(res.tree, s) == res.cost
 
 
 def test_optimizers_peak_at_their_checked_bytes_a_cell():
@@ -139,11 +154,13 @@ def test_optimizers_peak_at_their_checked_bytes_a_cell():
             assert (bound < 2**31) == (high == 2)
             tracemalloc.start()
             try:
-                fn(s)
+                res = fn(s)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak <= per_cell * (n + 1) ** 2, (fn.__name__, high, peak / (n + 1) ** 2)
+            if fn is optimal_lazy_dp:
+                assert cost_from_frequencies(res.tree, s) == res.cost
 
 
 def _table_with_total(rng, n, total):

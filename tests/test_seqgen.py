@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lazybst import (GeneratorSpec, SearchSequence, UsageError,
-                     frequencies_from_sequence, generate)
+                     frequencies_from_sequence, generate, model)
 from lazybst.fileio import write_sequence
 from lazybst.seqgen import CELL_BYTES, ITEM_BYTES
 from support import markov_walk_oracle
@@ -175,6 +175,32 @@ def test_default_markov_matrix_stays_within_its_cell_budget():
     finally:
         tracemalloc.stop()
     assert peak <= CELL_BYTES * n * n, peak / n / n
+
+
+def test_markov_walk_checks_its_rows_and_items_together(monkeypatch):
+    # The walk holds its rows and its items at once, so a budget that
+    # each fits alone but not their sum refuses it before anything is
+    # allocated, for the default matrix and an explicit one alike.
+    n, m = 128, 4000
+    rows, items = CELL_BYTES * n * n, ITEM_BYTES * m
+    ring = np.roll(np.eye(n), 1, axis=1)
+    for matrix in (None, ring):
+        spec = GeneratorSpec("markov", n, m, seed=1, matrix=matrix)
+        want = generate(spec).items.tolist()
+        with monkeypatch.context() as mp:
+            mp.setattr(model, "MEMORY_BUDGET", rows + items - 1)
+            assert max(rows, items) < model.MEMORY_BUDGET
+            tracemalloc.start()
+            try:
+                with pytest.raises(UsageError, match=f"sequence of m={m} searches for n={n} "
+                                                     f"needs {rows + items} bytes"):
+                    generate(spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * n * n, peak   # not even the rows as one array
+            mp.setattr(model, "MEMORY_BUDGET", rows + items)
+            assert generate(spec).items.tolist() == want
 
 
 def test_uniform_and_seed_determinism():
