@@ -142,6 +142,22 @@ def test_int32_cut_weights_take_5_bytes_a_cell():
     assert peak <= 5 * (n + 1) ** 2, peak / (n + 1) ** 2
 
 
+def test_lazy_dp_tables_take_16_bytes_a_cell_at_int32_and_30_at_int64():
+    n = 512
+    rng = np.random.default_rng(13)
+    for high, fits, per_cell in ((2, True, 16), (100, False, 30)):
+        s = stats_from_pair_counts(n, rng.integers(0, high, size=(n + 1, n + 1)))
+        assert (2 * n * int(s.count.sum()) < 2**31) == fits
+        tracemalloc.start()
+        try:
+            res = optimal_lazy_dp(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_cell * (n + 1) ** 2, (high, peak / (n + 1) ** 2)
+        assert cost_from_frequencies(res.tree, s) == res.cost
+
+
 def test_optimizers_peak_at_their_checked_bytes_a_cell():
     # The figures the budget checks use: the lazy optimizer 14 bytes a
     # cell at int32 and 27 at int64, the root optimizer 10 and 19.
@@ -154,13 +170,11 @@ def test_optimizers_peak_at_their_checked_bytes_a_cell():
             assert (bound < 2**31) == (high == 2)
             tracemalloc.start()
             try:
-                res = fn(s)
+                fn(s)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak <= per_cell * (n + 1) ** 2, (fn.__name__, high, peak / (n + 1) ** 2)
-            if fn is optimal_lazy_dp:
-                assert cost_from_frequencies(res.tree, s) == res.cost
 
 
 def _table_with_total(rng, n, total):
