@@ -158,6 +158,13 @@ def cmd_multitree(args) -> int:
     x, s, hc = _load_sequence(args)
     mt = build_multitree(s, args.d)
     total = run_multitree(mt, x)
+    if args.dump:   # written first: a dump that fails leaves no report
+        lines = [fileio.write_tree(mt.global_tree)]
+        members, offsets = mt.members.tolist(), mt.offsets.tolist()
+        for i in range(1, mt.n + 1):
+            own = members[offsets[i]:offsets[i + 1]]
+            lines.append(f"T{i}:" + "".join(f" {k}" for k in own) + "\n")
+        _emit("".join(lines), args.dump)
     print(f"n\t{x.n}")
     print(f"d\t{args.d}")
     print(f"m\t{x.m}")
@@ -165,12 +172,6 @@ def cmd_multitree(args) -> int:
     print(f"total_comparisons\t{total}")
     print(f"per_search_avg\t{total / x.m:.6f}")
     print(f"H_c\t{hc:.6f}")
-    if args.dump:
-        lines = [fileio.write_tree(mt.global_tree)]
-        for i in range(1, mt.n + 1):
-            members = " ".join(str(k) for k in mt.succ[i].members)
-            lines.append(f"T{i}:" + (f" {members}" if members else "") + "\n")
-        _emit("".join(lines), args.dump)
     return 0
 
 

@@ -18,22 +18,26 @@ Like both edge costs, the comparison count depends only on the
 transition counts: a search for b after a always costs the same, so a
 sequence is costed from its count table's (a, b, count) triples, each
 transition's probe cost times its count, plus the first search's
-descent.  ``run_multitree`` costs all transitions in one vectorized
-pass; ``probe`` applies the rule to one target.
+descent.
+
+A ``MultiTree`` keeps every successor tree in three flat arrays: the
+members and their depths, ascending by (owner, member), and each key's
+offsets into them.  ``build_multitree`` fills them in one vectorized
+pass over the count triples, one tree level per step for all keys at
+once; ``run_multitree`` costs all transitions in one vectorized pass
+over them; ``probe`` applies the rule to one target.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 
 import numpy as np
 
-from .entropy import WeightVector
 from .errors import InvalidInputError, UsageError
 from .model import SearchSequence, SearchStats, StaticTree, build_balanced
-from .optimize import mehlhorn_build
 
 
 @dataclass(frozen=True)
@@ -49,35 +53,86 @@ class SuccessorTree:
 
 @dataclass(frozen=True, eq=False)
 class MultiTree:
+    """The global tree and every key's successor tree: key a's members
+    are ``members[offsets[a]:offsets[a + 1]]``, ascending, and
+    ``depths`` holds each member's depth in a's tree.  ``offsets`` has
+    n + 2 entries; key 0 has no members.  The arrays are read-only
+    int64."""
+
     n: int
     global_tree: StaticTree
-    succ: tuple[SuccessorTree, ...]   # index 0 unused
+    members: np.ndarray
+    depths: np.ndarray
+    offsets: np.ndarray
+
+    def __post_init__(self):
+        for name in ("members", "depths", "offsets"):
+            getattr(self, name).flags.writeable = False
+
+    @cached_property
+    def succ(self) -> tuple[SuccessorTree, ...]:
+        """Each key's successor tree (index 0 empty), built on first
+        use for callers that index one key's tree."""
+        members, depths = self.members.tolist(), self.depths.tolist()
+        offsets = self.offsets.tolist()
+        return tuple(SuccessorTree(tuple(members[lo:hi]), tuple(depths[lo:hi]))
+                     for lo, hi in zip(offsets[:-1], offsets[1:]))
 
 
 def node_count(mt: MultiTree) -> int:
     """Global nodes plus all successor-tree nodes; at most n * (d + 1)."""
-    return mt.n + sum(len(st.members) for st in mt.succ[1:])
+    return mt.n + mt.members.size
 
 
 def build_multitree(s: SearchStats, d: int) -> MultiTree:
     """Keep each key's top-d successors by transition count (ties to the
-    smaller key), arranged by weight bisection over those counts."""
+    smaller key), arranged by weight bisection over those counts: each
+    interval's root minimizes the absolute difference between left and
+    right weight, ties to the smaller key, as in ``mehlhorn_build``.
+
+    The bisection runs on the int64 prefix sums of the kept counts, so
+    it is exact; it equals the float ``mehlhorn_build`` over a key's kept
+    counts whenever their total is below 2^52, where every float sum it
+    forms is an exact integer.  A table read from a sequence is far
+    below that.  Every count table ``read_freq`` accepts has a count
+    total below 2^61, so no sum here wraps.
+    """
     n = s.n
     if not (1 <= d <= n):
         raise UsageError(f"d must be in 1..{n}, got {d}")
-    # The transitions are sorted by (a, b): each key's successors form one
-    # contiguous run, in ascending key order.
-    bounds = np.searchsorted(s.a, np.arange(1, n + 2)).tolist()
-    empty = SuccessorTree((), ())
-    succ = [empty]
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if lo == hi:
-            succ.append(empty)
-            continue
-        keep = np.sort(lo + np.lexsort((s.b[lo:hi], -s.count[lo:hi]))[:d])
-        depths = mehlhorn_build(WeightVector.from_values(s.count[keep])).depth[1:]
-        succ.append(SuccessorTree(tuple(s.b[keep].tolist()), depths))
-    return MultiTree(n=n, global_tree=build_balanced(n), succ=tuple(succ))
+    # The transitions ascend by (a, b), so one stable sort by a, then by
+    # descending count, ranks each key's successors with ties to the
+    # smaller key; each key's run starts where it did before the sort.
+    cmax = int(s.count.max(initial=0))
+    order = np.argsort(s.a * (cmax + 1) + (cmax - s.count), kind="stable")
+    bounds = np.searchsorted(s.a, np.arange(n + 1))
+    kept = np.zeros(s.a.size, dtype=bool)
+    kept[order[np.arange(s.a.size) - bounds[s.a] < d]] = True
+    members, count = s.b[kept], s.count[kept]
+    offsets = np.searchsorted(s.a[kept], np.arange(n + 2))
+
+    # Weight bisection of every key's members at once, one level a step.
+    # Over the prefix sums of all kept counts, root r of the members
+    # lo..hi-1 gives left - right = mid[r] - target, increasing in r; the
+    # first r with mid[r] >= target lies in lo..hi-1, since the prefix
+    # strictly increases, and the one before it wins a tie of
+    # |left - right|.
+    prefix = np.zeros(members.size + 1, dtype=np.int64)
+    np.cumsum(count, out=prefix[1:])
+    mid = prefix[:-1] + prefix[1:]
+    depths = np.empty(members.size, dtype=np.int64)
+    lo, hi = offsets[:-1], offsets[1:]
+    level = 0
+    while (live := lo < hi).any():
+        lo, hi = lo[live], hi[live]
+        target = prefix[lo] + prefix[hi]
+        r = np.searchsorted(mid, target)
+        r -= (r > lo) & (target - mid[r - 1] <= mid[r] - target)
+        depths[r] = level
+        lo, hi = np.concatenate((lo, r + 1)), np.concatenate((r, hi))
+        level += 1
+    return MultiTree(n=n, global_tree=build_balanced(n), members=members,
+                     depths=depths, offsets=offsets)
 
 
 def probe(st: SuccessorTree, target: int) -> tuple[bool, int]:
@@ -97,10 +152,9 @@ def run_multitree(mt: MultiTree, x: SearchSequence) -> int:
     descending the global tree again on a miss.
 
     Every distinct transition is costed at once by the probe rule of
-    the module docstring.  The successor trees are flattened into one
-    array of codes a (n+1) + member, ascending, and each transition's
-    code is looked up in it; a miss adds a descent of the global tree
-    to b.
+    the module docstring.  Each member's code a (n+1) + member ascends
+    with its position, and each transition's code is looked up among
+    them; a miss adds a descent of the global tree to b.
     """
     if mt.n != x.n:
         raise InvalidInputError(f"universe mismatch: structure n={mt.n}, input n={x.n}")
@@ -108,24 +162,17 @@ def run_multitree(mt: MultiTree, x: SearchSequence) -> int:
         return 0
     n = mt.n
     s = x.stats
-    sizes = [len(st.members) for st in mt.succ]
-    total_size = sum(sizes)
-    # -1 pads both ends: no owner, and depth -1 for a missing neighbour.
-    owner = np.full(total_size + 2, -1, dtype=np.int64)
-    owner[1:-1] = np.repeat(np.arange(n + 1), sizes)
-    depth = np.full(total_size + 2, -1, dtype=np.int64)
-    depth[1:-1] = np.fromiter(chain.from_iterable(st.depths for st in mt.succ),
-                              np.int64, total_size)
-    key = owner * (n + 1)
-    key[1:-1] += np.fromiter(chain.from_iterable(st.members for st in mt.succ),
-                             np.int64, total_size)
     code = s.a * (n + 1) + s.b
-    # With the padding, key[i] is the last member code below the
-    # transition's and key[i + 1] the first at or above it.
-    i = np.searchsorted(key[1:-1], code)
-    hit = key[i + 1] == code
-    pred = np.where(owner[i] == s.a, depth[i], -1)
-    succ = np.where(owner[i + 1] == s.a, depth[i + 1], -1)
+    key = np.repeat(np.arange(n + 1) * (n + 1), np.diff(mt.offsets)) + mt.members
+    i = np.searchsorted(key, code)
+    # a's members sit at offsets[a]..offsets[a+1]-1, so b's neighbours
+    # among them are members i-1 and i, where those lie in that range.
+    # The pads make every index valid; depth -1 is a missing neighbour.
+    inside = i < mt.offsets[s.a + 1]
+    hit = inside & (np.append(key, -1)[i] == code)
+    depth = np.concatenate(([-1], mt.depths, [-1]))
+    below = np.where(i > mt.offsets[s.a], depth[i], -1)
+    above = np.where(inside, depth[i + 1], -1)
     gdepth = np.asarray(mt.global_tree.depth, dtype=np.int64)
-    cost = np.where(hit, depth[i + 1] + 1, np.maximum(pred, succ) + gdepth[s.b] + 2)
+    cost = np.where(hit, depth[i + 1] + 1, np.maximum(below, above) + gdepth[s.b] + 2)
     return int(gdepth[s.first]) + 1 + int((s.count * cost).sum())

@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from lazybst import (GeneratorSpec, InvalidInputError, MultiTree, NO_NODE, OptResult,
-                     SearchSequence, SearchStats, StaticTree, UsageError, WeightVector,
-                     build_tree, cost_from_frequencies, frequencies_from_sequence,
-                     mehlhorn_build)
+                     SearchSequence, SearchStats, StaticTree, SuccessorTree, UsageError,
+                     WeightVector, build_tree, cost_from_frequencies,
+                     frequencies_from_sequence, mehlhorn_build)
 from lazybst.cli import build_parser, main
 from lazybst.fileio import (write_freq, write_matrix, write_sequence, write_tree,
                             write_weights)
@@ -537,6 +537,26 @@ def enumerate_optimal(s: SearchStats, max_n: int = 10) -> OptResult:
             best_pre = pre_t
             best_shape = tree
     return OptResult(tree=best_shape, cost=best_cost)
+
+
+def successor_trees_loop(s: SearchStats, d: int) -> tuple[SuccessorTree, ...]:
+    """Oracle for ``build_multitree``'s successor trees, one key at a
+    time: each key's top-d successors by a lexsort on (-count, b), their
+    depths from ``mehlhorn_build`` over their counts (index 0 unused)."""
+    n = s.n
+    # The transitions are sorted by (a, b): each key's successors form one
+    # contiguous run, in ascending key order.
+    bounds = np.searchsorted(s.a, np.arange(1, n + 2)).tolist()
+    empty = SuccessorTree((), ())
+    succ = [empty]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        if lo == hi:
+            succ.append(empty)
+            continue
+        keep = np.sort(lo + np.lexsort((s.b[lo:hi], -s.count[lo:hi]))[:d])
+        depths = mehlhorn_build(WeightVector.from_values(s.count[keep])).depth[1:]
+        succ.append(SuccessorTree(tuple(s.b[keep].tolist()), depths))
+    return tuple(succ)
 
 
 def successor_shapes(mt: MultiTree, s: SearchStats) -> list[StaticTree | None]:

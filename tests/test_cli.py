@@ -485,6 +485,14 @@ def test_multitree_dump_lists_every_successor_tree(tmp_path, capsys):
         "ec4085225c54366b745d296d1e0d3f8923d8db944f7113d19784df9ae3308d15"
 
 
+def test_multitree_dump_that_cannot_be_written_prints_no_report(tmp_path, capsys):
+    seq = seq_file(tmp_path, "x.seq", 3, [1, 2, 3, 1, 2, 3])
+    code, out, err = run(capsys, "multitree", "--seq", seq, "--d", "1",
+                         "--dump", str(tmp_path / "missing" / "mt.txt"))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_compare_table_and_optimality_rows(tmp_path, capsys):
     seq = seq_file(tmp_path, "x.seq", 8, [1, 5, 3, 7, 2, 6, 4, 8] * 4)
     code, out, _ = run(capsys, "compare", "--seq", seq, "--seed", "11")

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,9 @@ import pytest
 from lazybst import (GeneratorSpec, InvalidInputError, SearchSequence, UsageError,
                      build_multitree, conditional_entropy, frequencies_from_sequence,
                      generate, node_count, probe, run_multitree, validate_tree)
-from support import random_sequence, search_costs, successor_shapes, walk_probe
+from lazybst.fileio import read_freq, write_freq
+from support import (random_sequence, search_costs, stats_from_pair_counts,
+                     successor_shapes, successor_trees_loop, walk_probe)
 
 
 def test_build_examples():
@@ -203,3 +207,90 @@ def test_every_transition_costs_its_probe_plus_the_miss_descent():
                         if members and not hit and not members[0] < b < members[-1]:
                             misses_outside += 1
     assert checked > 5000 and misses_outside > 100 and no_successors > 100
+
+
+def test_flat_build_equals_the_per_key_loop():
+    # Few distinct counts (so ties in rank and in bisection abound),
+    # self-transitions, keys with no successors, and tables with no
+    # transitions at all (m = 1).
+    rng = random.Random(20)
+    no_transitions = self_loops = no_successors = 0
+    for _ in range(320):
+        n = rng.randint(1, 24)
+        pair = np.zeros((n + 1, n + 1), dtype=np.int64)
+        if rng.random() < 0.9:
+            values = [rng.randint(1, 40) for _ in range(rng.randint(1, 3))]
+            for a in rng.sample(range(1, n + 1), rng.randint(1, n)):
+                for b in range(1, n + 1):
+                    if rng.random() < 0.6:
+                        pair[a, b] = rng.choice(values)
+        s = stats_from_pair_counts(n, pair, first=rng.randint(1, n))
+        no_transitions += s.a.size == 0
+        self_loops += bool((s.a == s.b).any())
+        no_successors += n - np.unique(s.a).size
+        for d in sorted({1, min(2, n), n, rng.randint(1, n)}):
+            mt = build_multitree(s, d)
+            assert mt.succ == successor_trees_loop(s, d), (n, d)
+            assert node_count(mt) == n + sum(len(st.members) for st in mt.succ)
+    assert no_transitions > 20 and self_loops > 200 and no_successors > 1000
+
+
+def _bisection_roots(weights, depths) -> int:
+    """Check in Python integers that each interval's root, the one
+    member at that interval's level, minimizes |left - right| with ties
+    to the smaller key; returns the number of roots checked."""
+    prefix = [0, *itertools.accumulate(weights)]
+    stack, roots = [(0, len(weights), 0)], 0
+    while stack:
+        lo, hi, level = stack.pop()
+        if lo == hi:
+            continue
+        at_level = [r for r in range(lo, hi) if depths[r] == level]
+        assert len(at_level) == 1
+        gap = [abs((prefix[r] - prefix[lo]) - (prefix[hi] - prefix[r + 1]))
+               for r in range(lo, hi)]
+        assert at_level[0] == lo + gap.index(min(gap))
+        stack += [(lo, at_level[0], level + 1), (at_level[0] + 1, hi, level + 1)]
+        roots += 1
+    assert roots == len(weights)
+    return roots
+
+
+def test_bisection_is_exact_past_2_to_the_53():
+    # Per-key totals past 2^53, where float prefix sums round, read from a
+    # count file; a few distinct counts make near-ties of |left - right|.
+    rng = random.Random(53)
+    checked = 0
+    for _ in range(40):
+        n = rng.randint(3, 5)
+        big = [2**53 + rng.randint(0, 7) for _ in range(3)]
+        values = big + [rng.randint(1, 9)]
+        pair = np.zeros((n + 1, n + 1), dtype=np.int64)
+        for a in range(1, n + 1):
+            pair[a, a] = rng.choice(big)
+            for b in range(a + 1, n + 1):   # symmetric: every key's in and out agree
+                pair[a, b] = pair[b, a] = rng.choice(values)
+        s = read_freq(write_freq(stats_from_pair_counts(n, pair, first=1, last=1)))
+        count = dict(zip(zip(s.a.tolist(), s.b.tolist()), s.count.tolist()))
+        assert min(sum(count[a, b] for b in range(1, n + 1)) for a in range(1, n + 1)) > 2**53
+        for d in range(1, n + 1):
+            for a, st in enumerate(build_multitree(s, d).succ[1:], start=1):
+                checked += _bisection_roots([count[a, b] for b in st.members], st.depths)
+    assert checked > 1500
+
+
+def test_build_holds_under_23_bytes_a_kept_member():
+    # The members, their depths and the offsets, plus the global tree: at
+    # uniform n = 10^5, m = 10^6, d = 16 tracemalloc reads 22.4 bytes a
+    # kept member.  The successor-tree view is not built.
+    x = generate(GeneratorSpec("uniform", 10**5, 10**6, seed=1))
+    s = frequencies_from_sequence(x)
+    tracemalloc.start()
+    try:
+        mt = build_multitree(s, 16)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    kept = node_count(mt) - mt.n
+    assert kept > 990_000 and "succ" not in vars(mt)
+    assert held < 23 * kept
