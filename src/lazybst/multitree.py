@@ -23,8 +23,9 @@ descent.
 A ``MultiTree`` keeps every successor tree in three flat arrays: the
 members and their depths, ascending by (owner, member), and each key's
 offsets into them.  ``build_multitree`` fills them in one vectorized
-pass over the count triples, one tree level per step for all keys at
-once; ``run_multitree`` costs all transitions in one vectorized pass
+pass over the count triples, running the weight bisection for all keys
+at once, one tree level a step, in the kernel ``mehlhorn_build`` runs
+too; ``run_multitree`` costs all transitions in one vectorized pass
 over them; ``probe`` applies the rule to one target.
 """
 
@@ -38,6 +39,7 @@ import numpy as np
 
 from .errors import InvalidInputError, UsageError
 from .model import SearchSequence, SearchStats, StaticTree, build_balanced
+from .optimize import _bisection_depths
 
 
 @dataclass(frozen=True)
@@ -90,12 +92,11 @@ def build_multitree(s: SearchStats, d: int) -> MultiTree:
     interval's root minimizes the absolute difference between left and
     right weight, ties to the smaller key, as in ``mehlhorn_build``.
 
-    The bisection runs on the int64 prefix sums of the kept counts, so
-    it is exact; it equals the float ``mehlhorn_build`` over a key's kept
-    counts whenever their total is below 2^52, where every float sum it
-    forms is an exact integer.  A table read from a sequence is far
-    below that.  Every count table ``read_freq`` accepts has a count
-    total below 2^61, so no sum here wraps.
+    The bisection is ``optimize._bisection_depths``, the kernel that
+    ``mehlhorn_build`` runs as one run over its float prefix sums; here
+    each key's kept counts are one run of an int64 prefix, so every sum
+    is exact.  Every count table ``read_freq`` accepts has a count total
+    below 2^61, so no sum wraps.
     """
     n = s.n
     if not (1 <= d <= n):
@@ -108,31 +109,14 @@ def build_multitree(s: SearchStats, d: int) -> MultiTree:
     bounds = np.searchsorted(s.a, np.arange(n + 1))
     kept = np.zeros(s.a.size, dtype=bool)
     kept[order[np.arange(s.a.size) - bounds[s.a] < d]] = True
-    members, count = s.b[kept], s.count[kept]
+    members = s.b[kept]
     offsets = np.searchsorted(s.a[kept], np.arange(n + 2))
-
-    # Weight bisection of every key's members at once, one level a step.
-    # Over the prefix sums of all kept counts, root r of the members
-    # lo..hi-1 gives left - right = mid[r] - target, increasing in r; the
-    # first r with mid[r] >= target lies in lo..hi-1, since the prefix
-    # strictly increases, and the one before it wins a tie of
-    # |left - right|.
-    prefix = np.zeros(members.size + 1, dtype=np.int64)
-    np.cumsum(count, out=prefix[1:])
-    mid = prefix[:-1] + prefix[1:]
-    depths = np.empty(members.size, dtype=np.int64)
-    lo, hi = offsets[:-1], offsets[1:]
-    level = 0
-    while (live := lo < hi).any():
-        lo, hi = lo[live], hi[live]
-        target = prefix[lo] + prefix[hi]
-        r = np.searchsorted(mid, target)
-        r -= (r > lo) & (target - mid[r - 1] <= mid[r] - target)
-        depths[r] = level
-        lo, hi = np.concatenate((lo, r + 1)), np.concatenate((r, hi))
-        level += 1
-    return MultiTree(n=n, global_tree=build_balanced(n), members=members,
-                     depths=depths, offsets=offsets)
+    prefix = np.concatenate(([0], np.cumsum(s.count[kept])))
+    # Only the members, offsets and prefix sums reach the bisection's
+    # peak; the global tree is built after it.
+    del order, bounds, kept
+    return MultiTree(n=n, members=members, depths=_bisection_depths(prefix, offsets),
+                     offsets=offsets, global_tree=build_balanced(n))
 
 
 def probe(st: SuccessorTree, target: int) -> tuple[bool, int]:

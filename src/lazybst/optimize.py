@@ -23,7 +23,9 @@ the same width, and the pair and the DP tables are checked against the
 memory budget together, before either is built.
 
 Every builder here only picks a root per key interval; the tree itself
-comes from ``model.tree_from_splits``.
+comes from ``model.tree_from_splits``.  The weight-bisection builder
+reads its roots from one kernel, ``_bisection_depths``, which also
+builds every successor tree of the multitree.
 """
 
 from __future__ import annotations
@@ -154,24 +156,51 @@ def optimal_root_dp(s: SearchStats) -> OptResult:
     return _interval_dp(n, (w[ln:] - w[:-ln] for ln in range(1, n + 1)), n * int(w[-1]))
 
 
+def _bisection_depths(prefix: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Weight-bisection depths of many runs of items at once, one tree
+    level a step: item i weighs prefix[i+1] - prefix[i] (``prefix`` does
+    not decrease), run j holds items offsets[j]..offsets[j+1]-1, and each
+    interval's root minimizes |left - right| weight, ties to the smaller
+    item.  The arithmetic is prefix's: exact in int64, rounded in float64.
+
+    Root r of items lo..hi-1 gives left - right = mid[r] - target, which
+    does not decrease in r; the first r with mid[r] >= target lies in
+    lo..hi-1, since mid[hi-1] >= target, and the one before it wins a tie.
+    One global search finds it for every interval, clamped to lo where a
+    weight too small to change a float prefix leaves mid flat before lo.
+    """
+    mid = prefix[:-1] + prefix[1:]
+    depths = np.empty(mid.size, dtype=np.int64)
+    lo, hi = offsets[:-1], offsets[1:]
+    level = 0
+    while (live := lo < hi).any():
+        lo, hi = lo[live], hi[live]
+        target = prefix[lo] + prefix[hi]
+        r = np.maximum(np.searchsorted(mid, target), lo)
+        r -= (r > lo) & (target - mid[r - 1] <= mid[r] - target)
+        depths[r] = level
+        lo, hi = np.concatenate((lo, r + 1)), np.concatenate((r, hi))
+        level += 1
+    return depths
+
+
 def mehlhorn_build(w: WeightVector) -> StaticTree:
     """Weight-bisection tree: each interval's root minimizes the absolute
     difference between left and right subtree weight, ties to the
-    smaller key.  Guarantees depth(j) <= 2 + 1.45 lg(W / w_j)."""
-    prefix = w.prefix.tolist()
-    # g(r) = left weight - right weight = mid[r-1] - (prefix[lo-1] +
-    # prefix[hi]) is increasing in r; |g| is least at its sign change.
-    mid = (w.prefix[:-1] + w.prefix[1:]).tolist()
+    smaller key.  Guarantees depth(j) <= 2 + 1.45 lg(W / w_j).
 
-    def pick(lo: int, hi: int) -> int:
-        target = prefix[lo - 1] + prefix[hi]
-        r = bisect.bisect_left(mid, target, lo - 1, hi) + 1  # first g(r) >= 0
-        # r <= hi: prefix is non-decreasing, so mid[hi-1] >= target.
-        if r > lo and target - mid[r - 2] <= mid[r - 1] - target:
-            return r - 1
-        return r
-
-    return tree_from_splits(w.n, pick)
+    The depths come from ``_bisection_depths`` over the float prefix
+    sums, as one run.  A subtree's parent is the deeper of the keys just
+    outside its interval (depth -1 past either end), and a preorder walk
+    meets the keys of one depth in ascending order, so each interval's
+    root is the next key one level below its parent.
+    """
+    depth = _bisection_depths(w.prefix, np.array([0, w.n]))
+    at = np.split(np.argsort(depth, kind="stable") + 1, np.cumsum(np.bincount(depth))[:-1])
+    level = [iter(keys.tolist()) for keys in at]
+    depth = [-1, *depth.tolist(), -1]
+    return tree_from_splits(
+        w.n, lambda lo, hi: next(level[max(depth[lo - 1], depth[hi + 1]) + 1]))
 
 
 def treap_build(w: WeightVector, seed: int) -> StaticTree:

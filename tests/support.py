@@ -1,9 +1,10 @@
 """Shared helpers for the test suite: random instances, fixed count
 files, count tables from dense pair tables, independent oracles (tree
 distances, tree validation, the lazy DP's whole cut table, brute-force
-and exhaustive optimizers, the per-search multitree walk, the per-step
-markov walk), the Eulerian stitcher that turns a count table back into
-a sequence, and the seeded fuzz of the readers and of the command line."""
+and exhaustive optimizers, the exact and the per-interval float weight
+bisections, the per-search multitree walk, the per-step markov walk),
+the Eulerian stitcher that turns a count table back into a sequence,
+and the seeded fuzz of the readers and of the command line."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import argparse
 import bisect
 import contextlib
 import io
+import itertools
 import math
 import random
 import traceback
@@ -539,10 +541,49 @@ def enumerate_optimal(s: SearchStats, max_n: int = 10) -> OptResult:
     return OptResult(tree=best_shape, cost=best_cost)
 
 
+def bisection_depths_exact(weights) -> list[int]:
+    """Depths of the weight-bisection tree over ``weights``, in Python
+    integers: each interval's root is found by scoring every |left -
+    right| of the interval, ties to the smaller item."""
+    prefix = [0, *itertools.accumulate(weights)]
+    depths = [0] * len(weights)
+    stack = [(0, len(weights), 0)]
+    while stack:
+        lo, hi, level = stack.pop()
+        if lo < hi:
+            gap = [abs((prefix[r] - prefix[lo]) - (prefix[hi] - prefix[r + 1]))
+                   for r in range(lo, hi)]
+            r = lo + gap.index(min(gap))
+            depths[r] = level
+            stack += [(lo, r, level + 1), (r + 1, hi, level + 1)]
+    return depths
+
+
+def mehlhorn_bisect(w: WeightVector) -> StaticTree:
+    """Reference for ``mehlhorn_build``: the weight-bisection tree by one
+    ``bisect`` per interval over the float midpoint sums, ties to the
+    smaller key, in the same float arithmetic as its kernel."""
+    prefix = w.prefix.tolist()
+    # g(r) = left weight - right weight = mid[r-1] - (prefix[lo-1] +
+    # prefix[hi]) is increasing in r; |g| is least at its sign change.
+    mid = (w.prefix[:-1] + w.prefix[1:]).tolist()
+
+    def pick(lo: int, hi: int) -> int:
+        target = prefix[lo - 1] + prefix[hi]
+        r = bisect.bisect_left(mid, target, lo - 1, hi) + 1  # first g(r) >= 0
+        # r <= hi: prefix is non-decreasing, so mid[hi-1] >= target.
+        if r > lo and target - mid[r - 2] <= mid[r - 1] - target:
+            return r - 1
+        return r
+
+    return tree_from_splits(w.n, pick)
+
+
 def successor_trees_loop(s: SearchStats, d: int) -> tuple[SuccessorTree, ...]:
     """Oracle for ``build_multitree``'s successor trees, one key at a
     time: each key's top-d successors by a lexsort on (-count, b), their
-    depths from ``mehlhorn_build`` over their counts (index 0 unused)."""
+    depths from ``bisection_depths_exact`` over their counts (index 0
+    unused)."""
     n = s.n
     # The transitions are sorted by (a, b): each key's successors form one
     # contiguous run, in ascending key order.
@@ -554,8 +595,8 @@ def successor_trees_loop(s: SearchStats, d: int) -> tuple[SuccessorTree, ...]:
             succ.append(empty)
             continue
         keep = np.sort(lo + np.lexsort((s.b[lo:hi], -s.count[lo:hi]))[:d])
-        depths = mehlhorn_build(WeightVector.from_values(s.count[keep])).depth[1:]
-        succ.append(SuccessorTree(tuple(s.b[keep].tolist()), depths))
+        depths = bisection_depths_exact(s.count[keep].tolist())
+        succ.append(SuccessorTree(tuple(s.b[keep].tolist()), tuple(depths)))
     return tuple(succ)
 
 

@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 import tracemalloc
@@ -10,8 +9,9 @@ from lazybst import (GeneratorSpec, InvalidInputError, SearchSequence, UsageErro
                      build_multitree, conditional_entropy, frequencies_from_sequence,
                      generate, node_count, probe, run_multitree, validate_tree)
 from lazybst.fileio import read_freq, write_freq
-from support import (random_sequence, search_costs, stats_from_pair_counts,
-                     successor_shapes, successor_trees_loop, walk_probe)
+from support import (bisection_depths_exact, random_sequence, search_costs,
+                     stats_from_pair_counts, successor_shapes, successor_trees_loop,
+                     walk_probe)
 
 
 def test_build_examples():
@@ -235,27 +235,6 @@ def test_flat_build_equals_the_per_key_loop():
     assert no_transitions > 20 and self_loops > 200 and no_successors > 1000
 
 
-def _bisection_roots(weights, depths) -> int:
-    """Check in Python integers that each interval's root, the one
-    member at that interval's level, minimizes |left - right| with ties
-    to the smaller key; returns the number of roots checked."""
-    prefix = [0, *itertools.accumulate(weights)]
-    stack, roots = [(0, len(weights), 0)], 0
-    while stack:
-        lo, hi, level = stack.pop()
-        if lo == hi:
-            continue
-        at_level = [r for r in range(lo, hi) if depths[r] == level]
-        assert len(at_level) == 1
-        gap = [abs((prefix[r] - prefix[lo]) - (prefix[hi] - prefix[r + 1]))
-               for r in range(lo, hi)]
-        assert at_level[0] == lo + gap.index(min(gap))
-        stack += [(lo, at_level[0], level + 1), (at_level[0] + 1, hi, level + 1)]
-        roots += 1
-    assert roots == len(weights)
-    return roots
-
-
 def test_bisection_is_exact_past_2_to_the_53():
     # Per-key totals past 2^53, where float prefix sums round, read from a
     # count file; a few distinct counts make near-ties of |left - right|.
@@ -275,22 +254,27 @@ def test_bisection_is_exact_past_2_to_the_53():
         assert min(sum(count[a, b] for b in range(1, n + 1)) for a in range(1, n + 1)) > 2**53
         for d in range(1, n + 1):
             for a, st in enumerate(build_multitree(s, d).succ[1:], start=1):
-                checked += _bisection_roots([count[a, b] for b in st.members], st.depths)
+                # Each root checked in Python integers.
+                assert list(st.depths) == bisection_depths_exact([count[a, b] for b in st.members])
+                checked += len(st.members)
     assert checked > 1500
 
 
 def test_build_holds_under_23_bytes_a_kept_member():
     # The members, their depths and the offsets, plus the global tree: at
     # uniform n = 10^5, m = 10^6, d = 16 tracemalloc reads 22.4 bytes a
-    # kept member.  The successor-tree view is not built.
+    # kept member.  The successor-tree view is not built.  The peak, 57.4
+    # bytes a kept member, is the bisection's, entered holding only the
+    # members, offsets and prefix sums.
     x = generate(GeneratorSpec("uniform", 10**5, 10**6, seed=1))
     s = frequencies_from_sequence(x)
     tracemalloc.start()
     try:
         mt = build_multitree(s, 16)
-        held = tracemalloc.get_traced_memory()[0]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     kept = node_count(mt) - mt.n
     assert kept > 990_000 and "succ" not in vars(mt)
     assert held < 23 * kept
+    assert peak < 62 * kept

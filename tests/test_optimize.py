@@ -13,10 +13,11 @@ from lazybst import (GeneratorSpec, InvalidInputError, SearchSequence, SearchSta
                      run_root_finger, treap_build, validate_tree, weights_from_tree)
 from lazybst import model
 from lazybst.fileio import write_tree
-from lazybst.optimize import _cost_dtype, _cut_weights, _lazy_bound
-from support import (_all_shapes, cut_table, enumerate_optimal, optimal_lazy_naive,
-                     optimal_root_naive, random_pair_stats, random_sequence,
-                     stats_from_pair_counts, stitch_sequence, subtree_intervals)
+from lazybst.optimize import _bisection_depths, _cost_dtype, _cut_weights, _lazy_bound
+from support import (_all_shapes, bisection_depths_exact, cut_table, enumerate_optimal,
+                     mehlhorn_bisect, optimal_lazy_naive, optimal_root_naive,
+                     random_pair_stats, random_sequence, stats_from_pair_counts,
+                     stitch_sequence, subtree_intervals)
 
 
 def _alternating_stats():
@@ -461,10 +462,8 @@ def test_mehlhorn_roots_balance_left_and_right_weight():
             assert v == lo + gap.index(min(gap)), (vals, lo, hi)
 
 
-def test_mehlhorn_at_extreme_magnitudes():
-    """Weights from the smallest subnormal up to a total of 2^1022: each
-    root has the least float gap |mid[r-1] - target| of its interval, and
-    a power-of-two scale that keeps every weight normal keeps the tree."""
+def _extreme_vectors():
+    """Weights from the smallest subnormal up to a total of 2^1022."""
     rng = random.Random(33)
     vectors = [[2.0 ** 1021, 2.0 ** 1021], [2.0 ** 1022 - 2.0 ** 970, 2.0 ** -1074, 1.0],
                [5e-324] * 5, [1e-300, 1e300, 1e-300, 1e300]]
@@ -472,7 +471,14 @@ def test_mehlhorn_at_extreme_magnitudes():
         top = rng.randint(-1000, 1015)
         vectors.append([math.ldexp(1 + rng.random(), rng.randint(-1074, top))
                         for _ in range(rng.randint(1, 30))])
-    for vals in vectors:
+    return vectors
+
+
+def test_mehlhorn_at_extreme_magnitudes():
+    """Weights from the smallest subnormal up to a total of 2^1022: each
+    root has the least float gap |mid[r-1] - target| of its interval, and
+    a power-of-two scale that keeps every weight normal keeps the tree."""
+    for vals in _extreme_vectors():
         w = WeightVector.from_values(vals)
         t = mehlhorn_build(w)
         assert validate_tree(t)
@@ -486,6 +492,32 @@ def test_mehlhorn_at_extreme_magnitudes():
                 assert mehlhorn_build(WeightVector.from_values(np.ldexp(vals, k))) == t
     with pytest.raises(InvalidInputError, match="at most 2\\^1022"):
         WeightVector.from_values([2.0 ** 1022, 2.0 ** 970])
+
+
+def test_mehlhorn_equals_the_per_interval_float_bisect():
+    # The shared kernel gives the tree the per-interval float bisect gave,
+    # ties to the smaller key included, also where a weight too small to
+    # change its prefix sum leaves the prefix flat.
+    rng = random.Random(34)
+    vectors = [*PIN_WEIGHTS.values(), *_extreme_vectors(), [1e20, 1, 1, 1, 1e20, 1, 1]]
+    for _ in range(300):
+        vectors.append([rng.choice([1e20, 1e-20, 1.0, 2.0, 3.0, 2.0 ** 60])
+                        for _ in range(rng.randint(1, 40))])
+    flat = 0
+    for vals in vectors:
+        w = WeightVector.from_values(vals)
+        assert mehlhorn_build(w) == mehlhorn_bisect(w), vals
+        flat += bool((np.diff(w.prefix) == 0).any())
+    assert flat > 500
+
+
+def test_bisection_kernel_is_exact_over_an_int64_prefix():
+    # 2^52 + 1, 3, 1, 1: roots 2 and 3 of 2..4 tie at |left - right| = 2,
+    # which float sums past 2^53 cannot see; the int64 prefix can.
+    prefix = np.cumsum([0, 2**52 + 1, 3, 1, 1])
+    assert prefix.dtype == np.int64
+    assert _bisection_depths(prefix, np.array([0, 4])).tolist() == [0, 1, 2, 3]
+    assert bisection_depths_exact([2**52 + 1, 3, 1, 1]) == [0, 1, 2, 3]
 
 
 def test_mehlhorn_depth_bound_per_key():
