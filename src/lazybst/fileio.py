@@ -18,6 +18,17 @@ integers are read one by one; every other field becomes int64 or float64
 in one numpy conversion, which accepts exactly what int() or float()
 accepts, and only when that fails does a pass token by token name the
 bad token.
+
+The sequence, count-table and tree writers share one numpy kernel,
+``_digit_rows``: each value becomes a row of a fixed width, its decimal
+digits right-aligned after NUL padding, then its separator.  Dropping
+every NUL from a block of rows with ``bytes.translate`` leaves the text.
+Blocks hold about 256 KiB of rows.  Every field of a count table's or a
+tree's lines takes the width of its widest column.  A sequence over keys
+below 10^7 whose key rows take at most two bytes a search (its shortest
+text) gathers each search's row, one machine word, from the rows of all
+n + 1 keys; any other sequence has its digits computed.  The block texts
+and the header are joined once, so a writer holds its text twice.
 """
 
 from __future__ import annotations
@@ -97,16 +108,95 @@ def _header(text: str, what: str, *names: str):
     return toks[len(names):], *head
 
 
+# -- integer text -----------------------------------------------------------
+
+_BLOCK_BYTES = 2**18
+_SP, _NL = ord(" "), ord("\n")
+
+
+def _width(values: np.ndarray) -> int:
+    """Row width of the largest of values (nonnegative): digits and separator."""
+    return len(str(int(values.max(initial=0)))) + 1
+
+
+def _digit_rows(values: np.ndarray, sep: int, width: int) -> np.ndarray:
+    """A (k, width) uint8 array: each nonnegative value's decimal digits
+    right-aligned after NUL padding, then sep.  Every value has at most
+    width - 1 digits."""
+    # The narrowest type that holds width - 1 digits; numpy divides it by
+    # a constant in SIMD, which its divmod and masked stores do not.
+    v = values.astype(np.uint16 if width <= 5 else np.uint32 if width <= 10 else np.uint64)
+    q, digit = np.empty_like(v), np.empty_like(v)
+    rows = np.empty((v.size, width), dtype=np.uint8)
+    rows[:, -1] = sep
+    for col in range(width - 2, -1, -1):
+        np.floor_divide(v, 10, out=q)
+        np.multiply(q, 10, out=digit)
+        np.subtract(v, digit, out=digit)
+        # Left of the last digit, a value with no digits left is NUL: its
+        # digit is 0 and it adds 0, not "0".
+        if col < width - 2:
+            np.minimum(v, 1, out=v)
+            v *= ord("0")
+            digit += v
+        else:
+            digit += ord("0")
+        rows[:, col] = digit
+        v, q = q, v
+    return rows
+
+
+def _join_rows(out: list, k: int, width: int, rows_of) -> None:
+    """Append to out the text of k rows of width bytes, which
+    rows_of(start, stop) makes a block at a time; the last row's
+    separator becomes a newline."""
+    step = max(1, _BLOCK_BYTES // width)
+    for i in range(0, k, step):
+        rows = rows_of(i, i + step)
+        if i + step >= k:
+            rows[-1, -1] = _NL
+        out.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
+
+
+def _spaced(out: list, values: np.ndarray, width: int) -> None:
+    """Append values, single-spaced, as one line."""
+    _join_rows(out, values.size, width, lambda i, j: _digit_rows(values[i:j], _SP, width))
+
+
+def _keyed(out: list, items: np.ndarray, n: int, width: int) -> None:
+    """Append items (keys 1..n), single-spaced, as one line; each item's
+    row of 2, 4 or 8 bytes is one word gathered from the n + 1 key rows."""
+    keys = _digit_rows(np.arange(n + 1), _SP, width).view(f"u{width}").ravel()
+    _join_rows(out, items.size, width,
+               lambda i, j: keys[items[i:j]].view(np.uint8).reshape(-1, width))
+
+
+def _lines(out: list, width: int, *columns: np.ndarray) -> None:
+    """Append one line a row of the columns (nonnegative, of one length),
+    its fields single-spaced.  Every field takes width, the widest
+    column's, so one kernel call formats a block's fields."""
+    def rows_of(i, j):
+        fields = np.array([c[i:j] for c in columns]).ravel(order="F")
+        rows = _digit_rows(fields, _SP, width).reshape(-1, len(columns) * width)
+        rows[:, -1] = _NL
+        return rows
+
+    _join_rows(out, columns[0].size, len(columns) * width, rows_of)
+
+
 # -- sequence ---------------------------------------------------------------
 
 def write_sequence(x: SearchSequence) -> str:
-    # Items become text 4096 at a time, so no list of every item's int or
-    # str is held.  With no more keys than items each key's text is made
-    # once and looked up: the table never outgrows the sequence.
-    text = [str(k) for k in range(x.n + 1)].__getitem__ if x.n <= x.m else str
-    body = " ".join(" ".join(map(text, x.items[i:i + 4096].tolist()))
-                    for i in range(0, x.m, 4096))
-    return f"{x.n} {x.m}\n{body}\n" if x.m else f"{x.n} {x.m}\n"
+    n, m = x.n, x.m
+    out = [f"{n} {m}\n"]
+    width = len(str(n)) + 1
+    word = 1 << (width - 1).bit_length()     # 2, 4 or 8 bytes for n < 10^7
+    # A search takes 2 bytes of text or more, so the key rows take no more.
+    if word <= 8 and word * (n + 1) <= 2 * m:
+        _keyed(out, x.items, n, word)
+    else:
+        _spaced(out, x.items, width)
+    return "".join(out)
 
 
 def read_sequence(text: str) -> SearchSequence:
@@ -121,10 +211,10 @@ def read_sequence(text: str) -> SearchSequence:
 # -- tree -------------------------------------------------------------------
 
 def write_tree(t: StaticTree) -> str:
-    lines = [f"{t.n} {t.root}"]
-    for k in range(1, t.n + 1):
-        lines.append(f"{k} {t.left[k]} {t.right[k]}")
-    return "\n".join(lines) + "\n"
+    out = [f"{t.n} {t.root}\n"]
+    fields = np.array((range(1, t.n + 1), t.left[1:], t.right[1:]), dtype=np.int64)
+    _lines(out, _width(fields), *fields)
+    return "".join(out)
 
 
 def read_tree(text: str) -> StaticTree:
@@ -177,9 +267,10 @@ def read_weights(text: str) -> WeightVector:
 # -- frequency table --------------------------------------------------------
 
 def write_freq(s: SearchStats) -> str:
-    lines = [f"{s.n} {s.m} {s.first} {s.last}", " ".join(map(str, s.searches[1:].tolist()))]
-    lines += [f"{a} {b} {c}" for a, b, c in zip(s.a.tolist(), s.b.tolist(), s.count.tolist())]
-    return "\n".join(lines) + "\n"
+    out = [f"{s.n} {s.m} {s.first} {s.last}\n"]
+    _spaced(out, s.searches[1:], _width(s.searches))
+    _lines(out, max(map(_width, (s.a, s.b, s.count))), s.a, s.b, s.count)
+    return "".join(out)
 
 
 def read_freq(text: str) -> SearchStats:

@@ -23,8 +23,8 @@ RANDOM_KINDS = ("rounds", "markov", "uniform")
 # Peak bytes per item of generating a sequence and writing it as text.
 # tracemalloc measured at most 72.4, for a markov walk whose keys pass
 # 256 (an int object a step; n = 1024, m = 3 million, its rows
-# included), against 48 writing 19-digit keys and 41 for a markov walk
-# over keys below 257.
+# included), against 47.8 writing 19-digit keys (the items and twice the
+# text) and 40.8 for a markov walk over keys below 257.
 ITEM_BYTES = 73
 
 # Peak bytes per cell of a markov walk's rows: its cumulative rows as an

@@ -4,7 +4,9 @@ distances, tree validation, the lazy DP's whole cut table, brute-force
 and exhaustive optimizers, the exact and the per-interval float weight
 bisections, the per-search multitree walk, the per-step markov walk),
 the Eulerian stitcher that turns a count table back into a sequence,
-and the seeded fuzz of the readers and of the command line."""
+the per-line sequence, count and tree writers that the numpy text
+kernel replaced, and the seeded fuzz of the readers and of the command
+line."""
 
 from __future__ import annotations
 
@@ -163,6 +165,32 @@ def random_pair_stats(rng: random.Random, n: int, max_count: int = 9) -> SearchS
             if rng.random() < 0.6:
                 pair[a, b] = rng.randint(0, max_count)
     return stats_from_pair_counts(n, pair)
+
+
+def write_sequence_oracle(x: SearchSequence) -> str:
+    """``fileio.write_sequence`` by str() of each key."""
+    # Items become text 4096 at a time, so no list of every item's int or
+    # str is held.  With no more keys than items each key's text is made
+    # once and looked up: the table never outgrows the sequence.
+    text = [str(k) for k in range(x.n + 1)].__getitem__ if x.n <= x.m else str
+    body = " ".join(" ".join(map(text, x.items[i:i + 4096].tolist()))
+                    for i in range(0, x.m, 4096))
+    return f"{x.n} {x.m}\n{body}\n" if x.m else f"{x.n} {x.m}\n"
+
+
+def write_tree_oracle(t: StaticTree) -> str:
+    """``fileio.write_tree`` by one f-string a line."""
+    lines = [f"{t.n} {t.root}"]
+    for k in range(1, t.n + 1):
+        lines.append(f"{k} {t.left[k]} {t.right[k]}")
+    return "\n".join(lines) + "\n"
+
+
+def write_freq_oracle(s: SearchStats) -> str:
+    """``fileio.write_freq`` by one f-string a line."""
+    lines = [f"{s.n} {s.m} {s.first} {s.last}", " ".join(map(str, s.searches[1:].tolist()))]
+    lines += [f"{a} {b} {c}" for a, b, c in zip(s.a.tolist(), s.b.tolist(), s.count.tolist())]
+    return "\n".join(lines) + "\n"
 
 
 def subtree_intervals(t: StaticTree) -> list[tuple[int, int, int]] | None:

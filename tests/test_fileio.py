@@ -1,21 +1,23 @@
 import hashlib
 import random
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lazybst import (InvalidInputError, MalformedInputError, SearchSequence, ToolError,
-                     WeightVector, build_balanced, frequencies_from_sequence,
-                     weights_from_tree)
+from lazybst import (GeneratorSpec, InvalidInputError, MalformedInputError, SearchSequence,
+                     SearchStats, ToolError, WeightVector, build_balanced,
+                     frequencies_from_sequence, generate, weights_from_tree)
 from lazybst import fileio
 from lazybst.fileio import (read_freq, read_matrix, read_sequence, read_tree,
                             read_weights, write_freq, write_matrix, write_sequence,
                             write_tree, write_weights)
-from support import (HUGE_FREQ, WRAPPING_FREQ, mutated_reader_files, random_sequence,
-                     random_tree)
+from support import (HUGE_FREQ, WRAPPING_FREQ, mutated_reader_files, path_tree,
+                     random_sequence, random_tree, write_freq_oracle, write_sequence_oracle,
+                     write_tree_oracle)
 
 
 def test_sequence_round_trip_and_layout():
@@ -29,14 +31,69 @@ def test_sequence_round_trip_and_layout():
 
 
 def test_sequence_writer_joins_every_block_and_both_key_paths():
-    # Keys come from a table when n <= m and from str() otherwise; items
-    # are joined a block of 4096 at a time.
+    # Items are looked up in a table of key rows, a word each, when the
+    # table takes at most two bytes a search (n = 1 and 9 from m = n + 1),
+    # and have their digits computed otherwise (every other case here).
+    # test_writers_equal_the_per_line_oracles covers the block edges.
     rng = np.random.default_rng(5)
     for n in (1, 9, 4096, 2**63 - 1):
         for m in (1, 2, 4095, 4096, 4097, 8193):
             items = rng.integers(1, n + 1, size=m) if n > 1 else np.ones(m, dtype=np.int64)
             x = SearchSequence(n, items)
             assert write_sequence(x) == f"{n} {m}\n" + " ".join(map(str, items.tolist())) + "\n"
+
+
+def _block_edges(*widths):
+    """Row counts of one block of rows of each width, one less and one more."""
+    return sorted({fileio._BLOCK_BYTES // w + d for w in widths for d in (-1, 0, 1)})
+
+
+def test_writers_equal_the_per_line_oracles():
+    rng = np.random.default_rng(22)
+    for n in (1, 9, 10, 99, 100, 2**31, 2**63 - 1):
+        width = len(str(n)) + 1
+        for m in (0, 1, 2, *_block_edges(width, 1 << (width - 1).bit_length())):
+            items = rng.integers(1, n, size=m, endpoint=True)
+            items[-1:] = n
+            x = SearchSequence(n, items)
+            assert write_sequence(x) == write_sequence_oracle(x), (n, m)
+    # Count tables of sequences, with keys never searched.
+    for n in (1, 9, 10, 99, 100):
+        for m in (0, 1, 2, 3 * n):
+            s = frequencies_from_sequence(SearchSequence(n, rng.integers(1, n, size=m,
+                                                                         endpoint=True)))
+            assert write_freq(s) == write_freq_oracle(s), (n, m)
+    # Triples at a block's edge: keys to 100 and counts of every width to
+    # 2^62, so every field takes 20 bytes.
+    n = 100
+    for k in _block_edges(3 * 20):
+        code = np.append(np.sort(rng.choice(n * n - 1, size=k - 1, replace=False)), n * n - 1)
+        count = rng.integers(1, 2 ** rng.integers(0, 63, size=k), endpoint=True)
+        count[-1] = 2**62
+        searches = rng.integers(0, 2**62, size=n + 1, endpoint=True)
+        searches[::3] = 0
+        s = SearchStats(n=n, m=sum(searches.tolist()), a=code // n + 1, b=code % n + 1,
+                        count=count, searches=searches, first=1, last=n)
+        assert write_freq(s) == write_freq_oracle(s), k
+    # Trees, whose leaves' rows have 0 children, at a block's edge too.
+    prng = random.Random(22)
+    for n in (1, 2, 9, 10, 99, 100, *_block_edges(3 * 6)):
+        for t in (random_tree(prng, n), path_tree(n), path_tree(n, ascending=False)):
+            assert write_tree(t) == write_tree_oracle(t), n
+
+
+def test_count_writer_holds_its_text_twice():
+    # The header and the block texts are joined once; the rows of one
+    # block and their text come and go below 2^20 bytes.
+    s = generate(GeneratorSpec("uniform", 512, 10**6, seed=1)).stats
+    assert s.a.size > 250_000
+    tracemalloc.start()
+    try:
+        text = write_freq(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text) + 2**20, peak - 2 * len(text)
 
 
 def test_sequence_errors_classified():

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from lazybst import (GeneratorSpec, InvalidInputError, SearchSequence, SearchStats,
-                     UsageError, WeightVector, build_balanced, cost_from_frequencies,
-                     df_bound, entropy, frequencies_from_sequence, generate, mehlhorn_build,
-                     optimal_lazy_dp, optimal_root_dp, run_lazy_finger,
-                     run_root_finger, treap_build, validate_tree, weights_from_tree)
+                     UsageError, WeightVector, build_balanced, conditional_entropy,
+                     cost_from_frequencies, df_bound, entropy, frequencies_from_sequence,
+                     generate, mehlhorn_build, optimal_lazy_dp, optimal_root_dp,
+                     run_lazy_finger, run_root_finger, treap_build, validate_tree,
+                     weights_from_tree)
 from lazybst import model
 from lazybst.fileio import write_tree
 from lazybst.optimize import _bisection_depths, _cost_dtype, _cut_weights, _lazy_bound
@@ -315,6 +316,22 @@ def test_recurrence_audit_against_stitched_sequences():
         stitched = stitch_sequence(s)
         assert run_lazy_finger(res.tree, stitched).transition_cost == res.cost
         assert cost_from_frequencies(res.tree, s) == res.cost
+
+
+def test_optimal_lazy_cost_separates_at_equal_entropies():
+    # The paper's separation: sequential and bitrev repeat a permutation
+    # (H = lg n, H_c = 0 alike), yet per search the optimal lazy cost of
+    # sequential stays flat (1.758 to 1.868 measured, 1.875 at n = 4096)
+    # while bitrev's rises +1.45, +1.63, +1.77, +1.86 a doubling of n.
+    per_search = {}
+    for kind in ("sequential", "bitrev"):
+        for n in (16, 32, 64, 128, 256):
+            s = generate(GeneratorSpec(kind, n, 8 * n)).stats
+            assert entropy(s) == pytest.approx(math.log2(n)) and conditional_entropy(s) == 0.0
+            per_search[kind, n] = optimal_lazy_dp(s).cost / s.m
+    assert max(per_search["sequential", n] for n in (16, 32, 64, 128, 256)) < 1.9
+    for n in (16, 32, 64, 128):
+        assert per_search["bitrev", 2 * n] - per_search["bitrev", n] >= 1.25, n
 
 
 def test_root_dp_worked_examples():
