@@ -19,16 +19,15 @@ in one numpy conversion, which accepts exactly what int() or float()
 accepts, and only when that fails does a pass token by token name the
 bad token.
 
-The sequence, count-table and tree writers share one numpy kernel,
+The sequence and count-table writers share one numpy kernel,
 ``_digit_rows``: each value becomes a row of a fixed width, its decimal
 digits right-aligned after NUL padding, then its separator.  Dropping
 every NUL from a block of rows with ``bytes.translate`` leaves the text.
-Blocks hold about 256 KiB of rows.  Every field of a count table's or a
-tree's lines takes the width of its widest column.  A sequence over keys
-below 10^7 whose key rows take at most two bytes a search (its shortest
-text) gathers each search's row, one machine word, from the rows of all
-n + 1 keys; any other sequence has its digits computed.  The block texts
-and the header are joined once, so a writer holds its text twice.
+Blocks hold about 256 KiB of rows.  A sequence's rows take the width of
+n; every field of a count table's lines takes the width of its widest
+column.  The block texts and the header are joined once, so a writer
+holds its text twice.  A tree is written one f-string a line: at the n
+the DPs reach, the kernel's numpy calls cost more than the lines.
 """
 
 from __future__ import annotations
@@ -115,7 +114,10 @@ _SP, _NL = ord(" "), ord("\n")
 
 
 def _width(values: np.ndarray) -> int:
-    """Row width of the largest of values (nonnegative): digits and separator."""
+    """Row width of the largest of values: digits and separator.  The
+    kernel writes no sign, so a negative value is refused."""
+    if values.min(initial=0) < 0:
+        raise ValueError("cannot write a negative integer")
     return len(str(int(values.max(initial=0)))) + 1
 
 
@@ -163,14 +165,6 @@ def _spaced(out: list, values: np.ndarray, width: int) -> None:
     _join_rows(out, values.size, width, lambda i, j: _digit_rows(values[i:j], _SP, width))
 
 
-def _keyed(out: list, items: np.ndarray, n: int, width: int) -> None:
-    """Append items (keys 1..n), single-spaced, as one line; each item's
-    row of 2, 4 or 8 bytes is one word gathered from the n + 1 key rows."""
-    keys = _digit_rows(np.arange(n + 1), _SP, width).view(f"u{width}").ravel()
-    _join_rows(out, items.size, width,
-               lambda i, j: keys[items[i:j]].view(np.uint8).reshape(-1, width))
-
-
 def _lines(out: list, width: int, *columns: np.ndarray) -> None:
     """Append one line a row of the columns (nonnegative, of one length),
     its fields single-spaced.  Every field takes width, the widest
@@ -187,15 +181,8 @@ def _lines(out: list, width: int, *columns: np.ndarray) -> None:
 # -- sequence ---------------------------------------------------------------
 
 def write_sequence(x: SearchSequence) -> str:
-    n, m = x.n, x.m
-    out = [f"{n} {m}\n"]
-    width = len(str(n)) + 1
-    word = 1 << (width - 1).bit_length()     # 2, 4 or 8 bytes for n < 10^7
-    # A search takes 2 bytes of text or more, so the key rows take no more.
-    if word <= 8 and word * (n + 1) <= 2 * m:
-        _keyed(out, x.items, n, word)
-    else:
-        _spaced(out, x.items, width)
+    out = [f"{x.n} {x.m}\n"]
+    _spaced(out, x.items, len(str(x.n)) + 1)
     return "".join(out)
 
 
@@ -211,10 +198,10 @@ def read_sequence(text: str) -> SearchSequence:
 # -- tree -------------------------------------------------------------------
 
 def write_tree(t: StaticTree) -> str:
-    out = [f"{t.n} {t.root}\n"]
-    fields = np.array((range(1, t.n + 1), t.left[1:], t.right[1:]), dtype=np.int64)
-    _lines(out, _width(fields), *fields)
-    return "".join(out)
+    lines = [f"{t.n} {t.root}"]
+    for k in range(1, t.n + 1):
+        lines.append(f"{k} {t.left[k]} {t.right[k]}")
+    return "\n".join(lines) + "\n"
 
 
 def read_tree(text: str) -> StaticTree:

@@ -4,8 +4,8 @@ distances, tree validation, the lazy DP's whole cut table, brute-force
 and exhaustive optimizers, the exact and the per-interval float weight
 bisections, the per-search multitree walk, the per-step markov walk),
 the Eulerian stitcher that turns a count table back into a sequence,
-the per-line sequence, count and tree writers that the numpy text
-kernel replaced, and the seeded fuzz of the readers and of the command
+the per-line sequence and count writers that the numpy text kernel
+replaced, and the seeded fuzz of the readers and of the command
 line."""
 
 from __future__ import annotations
@@ -176,14 +176,6 @@ def write_sequence_oracle(x: SearchSequence) -> str:
     body = " ".join(" ".join(map(text, x.items[i:i + 4096].tolist()))
                     for i in range(0, x.m, 4096))
     return f"{x.n} {x.m}\n{body}\n" if x.m else f"{x.n} {x.m}\n"
-
-
-def write_tree_oracle(t: StaticTree) -> str:
-    """``fileio.write_tree`` by one f-string a line."""
-    lines = [f"{t.n} {t.root}"]
-    for k in range(1, t.n + 1):
-        lines.append(f"{k} {t.left[k]} {t.right[k]}")
-    return "\n".join(lines) + "\n"
 
 
 def write_freq_oracle(s: SearchStats) -> str:
