@@ -13,6 +13,10 @@ kernel does O(n^3) work, one vectorized slab per interval length, and
 keeps only G, the cheapest cost plus weight of every interval; the tree
 walk recovers each interval's root from it.  All tie-breaks prefer the
 smallest root per interval, which makes every optimizer deterministic.
+Search counts are monotone and meet the quadrangle inequality, so for
+the root finger each slab is a band of roots bounded by Knuth and Yao's
+monotone smallest optimal roots; cuts are not, and the lazy DP scores
+every root.
 
 Every value the kernel stores is at most the cost of some tree on an
 interval plus its weight: 2 n (total transition count) for the lazy
@@ -67,7 +71,25 @@ def _dp_bytes(n: int, bound: int) -> int:
     return (9 * np.dtype(_cost_dtype(bound)).itemsize // 4 + 1) * (n + 1) ** 2
 
 
-def _interval_dp(n: int, weights: Iterable[np.ndarray], bound: int) -> OptResult:
+STEP = 16       # lengths between two samples of the root band
+CUT_ROWS = 16   # rows a block when the pair table is made symmetric
+
+
+def _first_argmins(slab: np.ndarray, budget: int) -> tuple[int, int]:
+    """Least and greatest over the columns of each column's first argmin.
+
+    argmin along the rows copies the slab transposed, so it runs over
+    column chunks of at most ``budget`` cells, or of one column."""
+    width = max(1, budget // slab.shape[0])
+    lo, hi = slab.shape[0], 0
+    for j in range(0, slab.shape[1], width):
+        first = slab[:, j:j + width].argmin(axis=0)
+        lo, hi = min(lo, first.min()), max(hi, first.max())
+    return int(lo), int(hi)
+
+
+def _interval_dp(n: int, weights: Iterable[np.ndarray], bound: int,
+                 monotone: bool = False) -> OptResult:
     """Cheapest tree on 1..n whose cost is the sum of the weights over the
     subtrees of its non-root nodes.
 
@@ -82,6 +104,17 @@ def _interval_dp(n: int, weights: Iterable[np.ndarray], bound: int) -> OptResult
     from the final tables; argmin returns the first minimum, i.e. the
     smallest root.
 
+    ``monotone`` says the weights grow with the interval and satisfy the
+    quadrangle inequality, as search counts do; then the smallest optimal
+    root R obeys R(a, b-1) <= R(a, b) <= R(a+1, b) (Knuth; Yao), and the
+    slab holds only a band of root offsets.  Every STEP lengths the band's
+    first argmins give lo and hi at length ``at``; chaining the inequality
+    ln - at times puts the smallest optimal root offset of every interval
+    of a later length ln within lo..min(hi + ln - at, ln - 1).  The first
+    minimum over the band is then that root, so every G value, and so the
+    walk's tree, is the full slab's.  The cut weights are not monotone,
+    and the lazy DP scores every root.
+
     ``bound`` is at least every G value and every sum of two: the tables
     are int32 when it is below 2^31 and int64 otherwise.  argmin sees the
     same integers at either width, so the tree does not depend on it.
@@ -91,15 +124,22 @@ def _interval_dp(n: int, weights: Iterable[np.ndarray], bound: int) -> OptResult
     H = np.zeros((n + 1, n + 1), dtype=dtype)     # H[len, a] = G[a, a+len-1]
     E = np.zeros((n + 1, n + 1), dtype=dtype)     # E[n-len, b] = G[b-len+1, b]
     buf = np.empty((n + 1) ** 2 // 4, dtype=dtype)
+    lo = hi = at = 0                              # the full slab until a sample
     for ln, weight in zip(range(1, n + 1), weights):
         A = n - ln + 1
+        k0, k1 = lo, min(hi + ln - at, ln - 1) + 1
         G = H[ln, 1:A + 1]
-        slab = np.add(H[:ln, 1:A + 1], E[A:, ln:], out=buf[:A * ln].reshape(ln, A))
+        slab = np.add(H[k0:k1, 1:A + 1], E[A + k0:A + k1, ln:],
+                      out=buf[:A * (k1 - k0)].reshape(k1 - k0, A))
         np.minimum.reduce(slab, axis=0, out=G)
+        if monotone and ln % STEP == 0 and ln < n:
+            # a 64th of the table's cells past n = 511: within _dp_bytes
+            lo, hi = _first_argmins(slab, max(4096, buf.size // 16))
+            lo, hi, at = lo + k0, hi + k0, ln
         G += weight
         E[n - ln, ln:] = G
     tree = tree_from_splits(
-        n, lambda a, b: a + int(np.argmin(H[:b - a + 1, a] + E[n - b + a:, b])))
+        n, lambda a, b: a + int((H[:b - a + 1, a] + E[n - b + a:, b]).argmin()))
     return OptResult(tree=tree, cost=int(H[n, 1] - weight[0]))
 
 
@@ -111,19 +151,26 @@ def _cut_weights(s: SearchStats, dtype: type[np.signedinteger]) -> Iterator[np.n
     Adding key k = i+ln to i+1..i+ln-1 adds D_ln[i] to its cut: k's
     transitions to keys outside the interval less those to keys inside
     it.  That is D_{ln-1}[i+1] less twice the transitions between k and
-    i+1, at key distance ln-1; so from D_0 = deg, each key's transitions
-    to other keys, and C_0 = 0, each length is three vector steps.
-    Every value is at most 2 (total count) in magnitude, so nothing
-    wraps at the lazy DP's width, the width of the pair table read here.
+    i+1, at key distance ln-1, in either direction.  So once the pair
+    table's upper triangle holds 2 (P + P^T), from D_0 = deg, each key's
+    transitions to other keys, and C_0 = 0, each length is two vector
+    steps.  The triangle is summed in place in blocks of CUT_ROWS rows,
+    whose transposed right-hand side is the only temporary.  Every value
+    is at most 2 (total count) in magnitude, so nothing wraps at the lazy
+    DP's width, the width of the pair table read here.
     """
     n = s.n
     pair = np.zeros((n + 1, n + 1), dtype=dtype)
     pair[s.a, s.b] = s.count
     np.fill_diagonal(pair, 0)   # a -> a crosses no edge
     d = pair.sum(axis=0, dtype=dtype) + pair.sum(axis=1, dtype=dtype)
+    for i in range(0, n + 1, CUT_ROWS):
+        k = i + CUT_ROWS
+        np.add(pair[i:k, i:], pair[i:, i:k].T, out=pair[i:k, i:])
+    pair *= 2
     c = np.zeros(n + 1, dtype=dtype)
     for ln in range(1, n + 1):
-        d = d[1:] - 2 * (np.diagonal(pair, ln - 1)[1:] + np.diagonal(pair, 1 - ln)[1:])
+        d = d[1:] - np.diagonal(pair, ln - 1)[1:]
         c = c[:-1] + d
         yield c
 
@@ -153,7 +200,8 @@ def optimal_root_dp(s: SearchStats) -> OptResult:
     (total searches) bounds the DP's values."""
     w = np.cumsum(s.searches)   # slot 0 is always 0
     n = s.n
-    return _interval_dp(n, (w[ln:] - w[:-ln] for ln in range(1, n + 1)), n * int(w[-1]))
+    return _interval_dp(n, (w[ln:] - w[:-ln] for ln in range(1, n + 1)), n * int(w[-1]),
+                        monotone=True)
 
 
 def _bisection_depths(prefix: np.ndarray, offsets: np.ndarray) -> np.ndarray:

@@ -484,9 +484,10 @@ def optimal_lazy_naive(s: SearchStats) -> OptResult:
     return OptResult(tree=tree, cost=cost[1][n])
 
 
-def optimal_root_naive(s: SearchStats) -> OptResult:
-    """Reference root-finger optimizer: the classic interval recurrence
-    scanning every root, ties to the smallest root."""
+def root_table_naive(s: SearchStats) -> tuple[np.ndarray, np.ndarray]:
+    """The classic root-finger interval recurrence scanning every root:
+    ``cost[a, b]`` of the cheapest tree on a..b and ``root[a, b]``, its
+    smallest optimal root."""
     n = s.n
     w = [0] * (n + 1)
     for k in range(1, n + 1):
@@ -503,8 +504,37 @@ def optimal_root_naive(s: SearchStats) -> OptResult:
             k = int(np.argmin(total))
             cost[a, b] = total[k]
             root[a, b] = a + k
-    tree = tree_from_splits(n, lambda a, b: int(root[a, b]))
-    return OptResult(tree=tree, cost=int(cost[1, n]))
+    return cost, root
+
+
+def optimal_root_naive(s: SearchStats) -> OptResult:
+    """Reference root-finger optimizer: the classic interval recurrence
+    scanning every root, ties to the smallest root."""
+    cost, root = root_table_naive(s)
+    tree = tree_from_splits(s.n, lambda a, b: int(root[a, b]))
+    return OptResult(tree=tree, cost=int(cost[1, s.n]))
+
+
+def root_band_misses(root: np.ndarray, step: int) -> list[tuple[int, int]]:
+    """The intervals (a, b) of ``root_table_naive``'s root table whose
+    smallest optimal root lies outside the band the root DP scores.
+
+    From the least and greatest root offset lo, hi over the intervals of
+    length ``at``, a multiple of ``step`` (lo = 0 and hi = at = 0 before
+    the first), the band of a longer length ln up to at + step is the
+    offsets lo..min(hi + ln - at, ln - 1): Yao's R(a, b-1) <= R(a, b) <=
+    R(a+1, b), chained ln - at times.
+    """
+    n = root.shape[0] - 1
+    lo = hi = at = 0
+    misses = []
+    for ln in range(1, n + 1):
+        offsets = [int(root[a, a + ln - 1]) - a for a in range(1, n - ln + 2)]
+        top = min(hi + ln - at, ln - 1)
+        misses += [(a, a + ln - 1) for a, k in enumerate(offsets, 1) if not lo <= k <= top]
+        if ln % step == 0:
+            lo, hi, at = min(offsets), max(offsets), ln
+    return misses
 
 
 def _all_shapes(lo: int, hi: int, memo: dict):

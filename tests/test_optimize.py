@@ -14,11 +14,13 @@ from lazybst import (GeneratorSpec, InvalidInputError, SearchSequence, SearchSta
                      weights_from_tree)
 from lazybst import model
 from lazybst.fileio import write_tree
-from lazybst.optimize import _bisection_depths, _cost_dtype, _cut_weights, _lazy_bound
+from lazybst.optimize import (STEP, _bisection_depths, _cost_dtype, _cut_weights,
+                              _lazy_bound)
 from support import (_all_shapes, bisection_depths_exact, cut_table, enumerate_optimal,
                      mehlhorn_bisect, optimal_lazy_naive, optimal_root_naive,
-                     random_pair_stats, random_sequence, stats_from_pair_counts,
-                     stitch_sequence, subtree_intervals)
+                     random_pair_stats, random_sequence, root_band_misses,
+                     root_table_naive, stats_from_pair_counts, stitch_sequence,
+                     subtree_intervals)
 
 
 def _alternating_stats():
@@ -160,23 +162,35 @@ def test_lazy_dp_tables_take_16_bytes_a_cell_at_int32_and_30_at_int64():
         assert cost_from_frequencies(res.tree, s) == res.cost
 
 
+def _hot_key_stats(n, count):
+    """One key, n // 2, searched ``count`` times in a row: every interval
+    holding it has its root there, so the root band spans every offset."""
+    pair = np.zeros((n + 1, n + 1), dtype=np.int64)
+    pair[n // 2, n // 2] = count
+    return stats_from_pair_counts(n, pair)
+
+
 def test_optimizers_peak_at_their_checked_bytes_a_cell():
     # The figures the budget checks use: the lazy optimizer 14 bytes a
-    # cell at int32 and 27 at int64, the root optimizer 10 and 19.
+    # cell at int32 and 27 at int64, the root optimizer 10 and 19.  The
+    # hot keys give the root DP its widest band.
     n = 512
     rng = np.random.default_rng(15)
-    for high, lazy_cell, root_cell in ((2, 14, 10), (100, 27, 19)):
-        s = stats_from_pair_counts(n, rng.integers(0, high, size=(n + 1, n + 1)))
+    cases = [(stats_from_pair_counts(n, rng.integers(0, high, size=(n + 1, n + 1))), fits)
+             for high, fits in ((2, True), (100, False))]
+    cases += [(_hot_key_stats(n, 10**6), True), (_hot_key_stats(n, 10**12), False)]
+    for s, fits in cases:
+        lazy_cell, root_cell = (14, 10) if fits else (27, 19)
         for fn, per_cell, bound in ((optimal_lazy_dp, lazy_cell, 2 * n * int(s.count.sum())),
                                     (optimal_root_dp, root_cell, n * int(s.searches.sum()))):
-            assert (bound < 2**31) == (high == 2)
+            assert (bound < 2**31) == fits
             tracemalloc.start()
             try:
                 fn(s)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= per_cell * (n + 1) ** 2, (fn.__name__, high, peak / (n + 1) ** 2)
+            assert peak <= per_cell * (n + 1) ** 2, (fn.__name__, fits, peak / (n + 1) ** 2)
 
 
 def _table_with_total(rng, n, total):
@@ -368,6 +382,63 @@ def test_root_dp_equals_baseline():
         assert fast.tree == slow.tree
         assert validate_tree(fast.tree)
         assert int((np.asarray(fast.tree.depth) * searches).sum()) == fast.cost
+
+
+def _band_inputs(rng, n, top):
+    """Search counts of keys 1..n, each at most ``top``, that stress the
+    root DP's band: one and two hot keys, runs of unsearched keys,
+    geometric counts falling and rising, and Zipf counts shuffled."""
+    hot = np.zeros(n + 1, dtype=np.int64)
+    hot[(n + 1) // 2] = top
+    two = np.zeros(n + 1, dtype=np.int64)
+    two[max(1, n // 3)] = top
+    two[n - n // 4] += top // 3
+    runs = np.zeros(n + 1, dtype=np.int64)
+    on = True
+    for k in range(1, n + 1):
+        on ^= rng.random() < 0.25
+        runs[k] = rng.randint(1, top) if on else 0
+    down = np.array([0] + [int(top * 0.7 ** k) for k in range(n)], dtype=np.int64)
+    up = np.concatenate(([0], down[:0:-1]))
+    ranks = list(range(1, n + 1))
+    rng.shuffle(ranks)
+    zipf = np.array([0] + [top // r for r in ranks], dtype=np.int64)
+    return {"hot": hot, "two-hot": two, "zero-runs": runs, "geometric-down": down,
+            "geometric-up": up, "zipf": zipf}
+
+
+@pytest.mark.parametrize("top", (10**4, 10**12))
+def test_root_band_equals_the_full_scan(top):
+    # The band holds every interval's smallest optimal root (the full
+    # scan's), so the root DP gives the full scan's tree and cost, at
+    # every n to three samples past the first and at n = 200; top =
+    # 10^12 runs the tables at int64.
+    rng = random.Random(2035)
+    for n in (*range(1, 3 * STEP + 2), 200):
+        for name, searches in _band_inputs(rng, n, top).items():
+            total = int(searches.sum())
+            if total == 0:
+                continue
+            assert (_cost_dtype(n * total) == np.int64) == (top > 2**31)
+            s = SearchStats(n, total, [], [], [], searches, 1, 1)
+            cost, root = root_table_naive(s)
+            assert root_band_misses(root, STEP) == [], (name, n)
+            got = optimal_root_dp(s)
+            assert got.cost == int(cost[1, n]), (name, n)
+            assert got.tree == optimal_root_naive(s).tree, (name, n)
+
+
+def test_root_band_misses_flags_a_root_outside_the_band():
+    # The check itself: a root table whose offsets jump back below the
+    # last sample's least offset is flagged at that interval.
+    n = 2 * STEP + 1
+    root = np.zeros((n + 1, n + 1), dtype=np.int32)
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            root[a, b] = b
+    assert root_band_misses(root, STEP) == []
+    root[1, STEP + 1] = 1
+    assert root_band_misses(root, STEP) == [(1, STEP + 1)]
 
 
 # (cost, sha256 of the tree file) of each optimizer on tie-heavy inputs,
