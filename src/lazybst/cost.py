@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import SearchSequence, SearchStats, StaticTree, check_tree
+from .model import CODE_BLOCK, SearchSequence, SearchStats, StaticTree, check_tree
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,10 @@ def run_root_finger(t: StaticTree, x: SearchSequence) -> CostReport:
     _check_universe(t.n, x.n)
     check_tree(t)
     depth = np.asarray(t.depth, dtype=np.int64)
-    return _report(int(depth[x.items].sum()), 0, x.m)
+    # A block of depths at a time: a gather of all m would be the
+    # largest temporary of an eval.
+    total = sum(int(depth[x.items[i:i + CODE_BLOCK]].sum()) for i in range(0, x.m, CODE_BLOCK))
+    return _report(total, 0, x.m)
 
 
 def run_lazy_finger(t: StaticTree, x: SearchSequence) -> CostReport:

@@ -10,14 +10,19 @@ as its (a, b, count) lines, so reading one needs memory in its file
 size, not in n^2.
 
 All five readers take the same path.  The whole text first goes
-through one numpy parse, which takes any text of ASCII digits and the
+through the fast parse, which takes any text of ASCII digits and the
 separators \t \n \v \f \r and space whose values are all below 10^18.
-Any other text (signs, underscores, non-ASCII digits, decimal points, the
-separators \x1c-\x1f, larger values) is split into tokens.  The header's
-integers are read one by one; every other field becomes int64 or float64
-in one numpy conversion, which accepts exactly what int() or float()
-accepts, and only when that fails does a pass token by token name the
-bad token.
+It cuts the text at separators into pieces of about 64 KiB and counts
+each piece's digit runs.  A text under 2 MiB, or on one CPU, is then
+parsed whole by numpy.  A longer one is parsed piece by piece on one
+thread a MiB, up to one a CPU (numpy's parse releases the GIL), each
+piece's values copied to their place in one int64 array.  Any other
+text (signs, underscores, non-ASCII digits, decimal points, the
+separators \x1c-\x1f, larger values) is split into tokens.  The
+header's integers are read one by one; every other field becomes int64
+or float64 in one numpy conversion, which accepts exactly what int() or
+float() accepts, and only when that fails does a pass token by token
+name the bad token.
 
 The sequence and count-table writers share one numpy kernel,
 ``_digit_rows``: each value becomes a row of a fixed width, its decimal
@@ -31,6 +36,11 @@ the DPs reach, the kernel's numpy calls cost more than the lines.
 """
 
 from __future__ import annotations
+
+import os
+import re
+import threading
+from itertools import accumulate
 
 import numpy as np
 
@@ -71,25 +81,91 @@ def _parse(toks, what: str, one=_int) -> np.ndarray:
 # ASCII digits and the separators both str.split() and numpy's text
 # parser accept; every separator sorts below "0".
 _FAST_BYTES = b"0123456789\t\n\v\f\r "
+_SEPARATOR = re.compile(rb"[\t\n\v\f\r ]")
+_PIECE_BYTES = 2**16
+_THREAD_BYTES = 2**20
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _cuts(raw: bytes) -> list:
+    """Offsets that cut raw into pieces of about _PIECE_BYTES, each but
+    the last ending at a separator, so no digit run crosses a cut."""
+    cuts = [0]
+    while cuts[-1] + _PIECE_BYTES < len(raw):
+        sep = _SEPARATOR.search(raw, cuts[-1] + _PIECE_BYTES - 1)
+        if sep is None:
+            break
+        cuts.append(sep.end())
+    if cuts[-1] < len(raw):
+        cuts.append(len(raw))
+    return cuts
+
+
+def _runs(raw: bytes, start: int, stop: int) -> int:
+    """The number of digit runs in raw[start:stop]."""
+    digit = np.frombuffer(raw, np.uint8, stop - start, start) >= ord("0")
+    return np.count_nonzero(digit[1:] > digit[:-1]) + int(digit[0])
+
+
+def _piece(raw: bytes, start: int, stop: int, runs: int) -> np.ndarray | None:
+    """The values of raw[start:stop], which holds runs digit runs, or
+    None when numpy reads another number of values or one that it could
+    have clamped."""
+    vals = np.fromstring(raw[start:stop], dtype=np.int64, sep=" ")
+    # numpy reads a text of separators alone as [0].  It clamps a run
+    # past 2^63 - 1 without a warning, so any value of 10^18 or more
+    # goes to the token parse, which names an overflow.
+    if vals.size != runs or (runs and vals.max() >= 10**18):
+        return None
+    return vals
 
 
 def _fast_ints(text: str) -> np.ndarray | None:
-    """Every integer of text as int64 from one numpy pass, or None when
-    the text holds another byte or a value numpy could have clamped."""
+    """Every integer of text as int64, or None when the text holds
+    another byte or a value numpy could have clamped.
+
+    The digit runs are counted piece by piece (``_cuts``), so no mask
+    of the whole text is held.  With one worker, numpy parses the whole
+    text into the array returned.  With more, one a _THREAD_BYTES of
+    text up to one a CPU, the calling thread among them, the workers
+    take the pieces in turn and copy each piece's values to its place
+    in one array."""
     if not text.isascii():
         return None
     raw = text.encode("ascii")
     if raw.translate(None, _FAST_BYTES):
         return None
-    digit = np.frombuffer(raw, np.uint8) >= ord("0")
-    runs = np.count_nonzero(digit[1:] > digit[:-1]) + bool(digit[:1].any())
-    vals = np.fromstring(raw, dtype=np.int64, sep=" ")
-    # numpy reads a text of separators alone as [0]: one value per run.
-    # It clamps a run past 2^63 - 1 without a warning, so any value of
-    # 10^18 or more goes to the token parse, which names an overflow.
-    if vals.size != runs or (runs and vals.max() >= 10**18):
-        return None
-    return vals
+    cuts = _cuts(raw)
+    runs = [_runs(raw, a, b) for a, b in zip(cuts, cuts[1:])]
+    at = list(accumulate(runs, initial=0))
+    workers = max(1, min(_cpus(), len(raw) // _THREAD_BYTES))
+    if workers == 1 or not at[-1]:
+        return _piece(raw, 0, len(raw), at[-1])
+    vals = np.empty(at[-1], dtype=np.int64)
+    done = [False] * workers
+
+    def parse(j):
+        for i in range(j, len(runs), workers):
+            if runs[i]:
+                piece = _piece(raw, cuts[i], cuts[i + 1], runs[i])
+                if piece is None:
+                    return
+                vals[at[i]:at[i + 1]] = piece
+        done[j] = True
+
+    threads = [threading.Thread(target=parse, args=(j,)) for j in range(1, workers)]
+    for t in threads:
+        t.start()
+    parse(0)
+    for t in threads:
+        t.join()
+    return vals if all(done) else None
 
 
 def _header(text: str, what: str, *names: str):

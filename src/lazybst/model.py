@@ -39,6 +39,8 @@ NO_NODE = 0
 # Bytes one dense table set sized by an input n may take; past it a call
 # refuses with UsageError instead of failing inside the allocator.
 MEMORY_BUDGET = 2 * 2**30
+# Transitions coded and counted at a time into a dense count table.
+CODE_BLOCK = 2**18
 
 
 def check_memory(n: int, nbytes: int, what: str) -> None:
@@ -224,9 +226,10 @@ class SearchSequence:
         Each transition a -> b is coded a (n+1) + b.  While the dense
         (n+1)^2 table has at most two cells a search and fits the budget
         with its nonzero mask (9 bytes a cell), the codes are counted
-        into it with one ``np.bincount``, faster than sorting there;
-        otherwise they are sorted and counted with ``np.unique``, in
-        memory linear in m.
+        into it with ``np.bincount``, faster than sorting there, a block
+        of max(CODE_BLOCK, 4 (n+1)^2) transitions at a time, so the
+        codes of a long sequence are never all held; otherwise they are
+        sorted and counted with ``np.unique``, in memory linear in m.
         """
         n, items, m = self.n, self.items, self.m
         # Once the n+1 per-key counts fit the budget, (n+1)^2 < 2^63.
@@ -236,7 +239,17 @@ class SearchSequence:
             code, count = np.unique(items[:-1] * (n + 1) + items[1:], return_counts=True)
             searches = np.bincount(items, minlength=n + 1)
         else:
-            flat = np.bincount(items[:-1] * (n + 1) + items[1:], minlength=(n + 1) ** 2)
+            cells = (n + 1) ** 2
+            step = max(CODE_BLOCK, 4 * cells)
+            buf = np.empty(min(step, m - 1), dtype=np.int64)
+            for i in range(0, m - 1, step):
+                j = min(i + step, m - 1)
+                code = np.multiply(items[i:j], n + 1, out=buf[:j - i])
+                code += items[i + 1:j + 1]
+                if i:
+                    flat += np.bincount(code, minlength=cells)
+                else:
+                    flat = np.bincount(code, minlength=cells)
             code = np.flatnonzero(flat != 0)   # several times faster on bools
             count = flat[code]
             # Every search but the first ends a transition: a key's

@@ -9,6 +9,7 @@ from lazybst import (InvalidInputError, SearchSequence,
                      build_balanced, build_tree, cost_from_frequencies,
                      frequencies_from_sequence, run_lazy_finger, run_root_finger,
                      weights_from_tree)
+from lazybst import cost
 from support import (caterpillar_tree, closed_form_lazy_total, path_tree, random_sequence,
                      random_tree, stats_from_pair_counts, step_cost, vee_tree)
 
@@ -21,6 +22,17 @@ def test_root_finger_worked_examples():
     assert rep.initial_descent == 0
     assert rep.per_search_avg == Fraction(2, 3)
     assert run_root_finger(t, SearchSequence(3, [])).total_with_root_start == 0
+
+
+def test_root_finger_sums_its_blocks(monkeypatch):
+    # A 7-search block: each sequence longer than that is summed over
+    # several blocks, the last one short.
+    monkeypatch.setattr(cost, "CODE_BLOCK", 7)
+    rng = random.Random(11)
+    for m in (0, 1, 7, 8, 50):
+        t = random_tree(rng, 12)
+        x = random_sequence(rng, 12, m)
+        assert run_root_finger(t, x).transition_cost == sum(t.depth[k] for k in x.items.tolist())
 
 
 def test_lazy_finger_worked_examples():

@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
+import os
 import random
 import re
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -381,6 +384,71 @@ def test_fast_parse_agrees_with_token_parse(data):
             with mock.patch.object(fileio, "_fast_ints", lambda text: None):
                 slow = _outcome(reader, text)
             assert _outcome(reader, text) == slow
+
+
+@contextlib.contextmanager
+def _pieces(piece_bytes, cpus):
+    """The fast parse cuts pieces of piece_bytes and runs every text on
+    one thread a CPU of cpus."""
+    with mock.patch.object(fileio, "_PIECE_BYTES", piece_bytes), \
+            mock.patch.object(fileio, "_THREAD_BYTES", 1), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True):
+        yield
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_fast_parse_agrees_with_token_parse_over_pieces_and_threads(cpus):
+    """The test above, each drawn text cut at several separators and
+    parsed on up to cpus threads."""
+    with _pieces(3, cpus):
+        test_fast_parse_agrees_with_token_parse()
+
+
+def test_fast_parse_pieces():
+    cases = {
+        # A run straddles the nominal cut at byte 4; the cut moves past it.
+        "1 234567 8": ([0, 9, 10], [1, 234567, 8]),
+        # Two pieces of separators alone between digit pieces.
+        "12" + " " * 10 + "34": ([0, 4, 8, 12, 14], [12, 34]),
+        # A run of leading zeros longer than a piece.
+        "0" * 10 + "7 8": ([0, 12, 13], [7, 8]),
+        # A 19-digit run in the last piece.
+        "1 2 3 4 " + "9" * 19: ([0, 4, 8, 27], None),
+    }
+    for cpus in (1, 2, 3):
+        with _pieces(4, cpus):
+            for text, (cuts, want) in cases.items():
+                assert fileio._cuts(text.encode("ascii")) == cuts
+                got = fileio._fast_ints(text)
+                assert (got if got is None else got.tolist()) == want
+
+
+def test_fast_parse_on_more_threads_than_cores_under_fast_switching():
+    text = write_sequence(random_sequence(random.Random(9), 300, 20_000))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _pieces(64, 8):
+            got = fileio._fast_ints(text)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.tolist() == [int(t) for t in text.split()]
+
+
+def test_sequence_reader_peaks_below_a_whole_text_parse():
+    # The parse holds its output and, a thread, one piece and its values:
+    # no full-length mask and no second copy of the values.  10,023,182
+    # bytes is this read's peak when one np.fromstring parsed the whole
+    # text after full-length digit and run-start masks counted its runs.
+    text = write_sequence(generate(GeneratorSpec("uniform", 128, 700_000, seed=1)))
+    assert len(text) >= 2**21
+    tracemalloc.start()
+    try:
+        read_sequence(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10_023_182, peak
 
 
 # sha256 of every reader's outcome on 6,000 seeded mutated files, recorded

@@ -318,6 +318,36 @@ def test_short_sequence_over_a_large_universe_counts_by_sorting():
     assert s.searches.tolist() == np.bincount(items, minlength=n + 1).tolist()
 
 
+def test_count_table_blocks_match_the_sort_path(monkeypatch):
+    # CODE_BLOCK = 1 makes a block 4 (n+1)^2 transitions, so a longer
+    # sequence is counted over several blocks, the last one short.
+    rng = random.Random(72)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        items = [rng.randint(1, n) for _ in range(rng.randint(2, 400))]
+        with monkeypatch.context() as mp:
+            mp.setattr(model, "CODE_BLOCK", 1)
+            dense = SearchSequence(n, items).stats
+            mp.setattr(model, "MEMORY_BUDGET", 9 * (n + 1) ** 2 - 1)
+            sparse = SearchSequence(n, items).stats
+        for name in ("a", "b", "count", "searches"):
+            assert getattr(dense, name).tolist() == getattr(sparse, name).tolist(), name
+        assert (dense.first, dense.last) == (sparse.first, sparse.last)
+
+
+def test_dense_count_table_holds_one_block_of_codes():
+    # m = 10^6 searches over 128 keys: the codes of one CODE_BLOCK
+    # (2 MiB), not of the whole sequence (8 MB).
+    x = SearchSequence(128, np.random.default_rng(5).integers(1, 129, size=10**6))
+    tracemalloc.start()
+    try:
+        x.stats
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * model.CODE_BLOCK + 2**20, peak
+
+
 def test_count_table_sort_path_matches_bincount(monkeypatch):
     # A budget just under 9 (n+1)^2 bytes sends stats down the sort path.
     rng = random.Random(71)
