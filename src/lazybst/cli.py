@@ -18,7 +18,7 @@ from .cost import run_lazy_finger, run_root_finger
 from .entropy import WeightVector, conditional_entropy, df_bound, entropy, \
     weights_from_tree
 from .errors import MalformedInputError, ToolError, UsageError
-from .model import build_balanced
+from .model import build_balanced, check_seed
 from .multitree import build_multitree, node_count, run_multitree
 from .optimize import mehlhorn_build, optimal_lazy_dp, optimal_root_dp, treap_build
 from .seqgen import RANDOM_KINDS, GeneratorSpec, KINDS, frequencies_from_sequence, \
@@ -53,11 +53,16 @@ def _load_stats(args):
     return fileio.read_freq(_read(args.freq))
 
 
+def _nonempty_sequence(args):
+    """The --seq sequence, refused when empty."""
+    if (x := fileio.read_sequence(_read(args.seq))).m == 0:
+        raise MalformedInputError("empty sequence")
+    return x
+
+
 def _load_sequence(args):
     """The --seq sequence, refused when empty, its count table and H_c."""
-    x = fileio.read_sequence(_read(args.seq))
-    if x.m == 0:
-        raise MalformedInputError("empty sequence")
+    x = _nonempty_sequence(args)
     s = frequencies_from_sequence(x)
     return x, s, conditional_entropy(s) if x.m >= 2 else 0.0
 
@@ -143,7 +148,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bound(args) -> int:
     w = fileio.read_weights(_read(args.weights))
-    x = fileio.read_sequence(_read(args.seq))
+    x = _nonempty_sequence(args)
     print(f"df_bound\t{df_bound(w, x):.6f}")
     return 0
 
@@ -179,7 +184,7 @@ def cmd_compare(args) -> int:
     x, s, hc = _load_sequence(args)
     if args.seed is None:
         raise UsageError("--seed is required for compare (treap strategy)")
-    m = x.m
+    check_seed(args.seed)
     h = entropy(s)
     d = args.d if args.d is not None else min(16, x.n)
     mt = build_multitree(s, d)   # refuses a bad --d before the exact DPs run
@@ -212,7 +217,7 @@ def cmd_compare(args) -> int:
 
     print("strategy\ttotal\tper_search\tnotes")
     for strategy, total, notes in rows:
-        print(f"{strategy}\t{total}\t{total / m:.6f}\t{notes}")
+        print(f"{strategy}\t{total}\t{total / x.m:.6f}\t{notes}")
     return 0
 
 

@@ -28,8 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .model import CODE_BLOCK, SearchSequence, SearchStats, StaticTree, check_tree
+from .model import CODE_BLOCK, SearchSequence, SearchStats, StaticTree, check_tree, \
+    check_universe
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,6 @@ class CostReport:
     initial_descent: int
     total_with_root_start: int
     per_search_avg: Fraction
-
-
-def _check_universe(tree_n: int, other_n: int) -> None:
-    if tree_n != other_n:
-        raise InvalidInputError(f"universe mismatch: tree n={tree_n}, input n={other_n}")
 
 
 def _report(transition: int, descent: int, m: int) -> CostReport:
@@ -77,7 +72,7 @@ def path_lengths(t: StaticTree, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def run_root_finger(t: StaticTree, x: SearchSequence) -> CostReport:
     """Total root-finger cost: sum of depths of the searched keys."""
-    _check_universe(t.n, x.n)
+    check_universe("tree", t.n, x.n)
     check_tree(t)
     depth = np.asarray(t.depth, dtype=np.int64)
     # A block of depths at a time: a gather of all m would be the
@@ -90,7 +85,7 @@ def run_lazy_finger(t: StaticTree, x: SearchSequence) -> CostReport:
     """Lazy-finger cost: the path lengths between consecutive searches,
     costed from the sequence's count table, with the initial descent
     from the root to x_1 reported separately."""
-    _check_universe(t.n, x.n)
+    check_universe("tree", t.n, x.n)
     transition = cost_from_frequencies(t, x.stats)
     return _report(transition, t.depth[x.items[0]] if x.m else 0, x.m)
 
@@ -98,5 +93,5 @@ def run_lazy_finger(t: StaticTree, x: SearchSequence) -> CostReport:
 def cost_from_frequencies(t: StaticTree, s: SearchStats) -> int:
     """Lazy transition cost from a count table: the sum over its
     transitions a -> b of count * pathlen(a, b)."""
-    _check_universe(t.n, s.n)
+    check_universe("tree", t.n, s.n)
     return int((s.count * path_lengths(t, s.a, s.b)).sum())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import SearchSequence, SearchStats, StaticTree, check_tree
+from .model import SearchSequence, SearchStats, StaticTree, check_tree, check_universe
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,12 +99,9 @@ def df_bound(w: WeightVector, x: SearchSequence) -> float:
     table's distinct transitions, each term times its count.  A
     transition a -> a contributes exactly 0 (its range is just {a}).
     """
-    if w.n != x.n:
-        raise InvalidInputError(f"universe mismatch: weights n={w.n}, sequence n={x.n}")
+    check_universe("weights", w.n, x.n)
     if x.m < 1:
         raise InvalidInputError("df_bound needs at least one search")
-    if x.m == 1:
-        return 0.0
     s = x.stats
     a, b = s.a, s.b
     lo = np.minimum(a, b)

@@ -17,7 +17,7 @@ only reads child tables given from outside, such as a tree file's.
 
 Every dense table whose size grows with n (a sequence's per-key search
 counts, the dense pair view, the lazy optimizer's pair table and the DP
-tables, a balanced tree's tables) and every generated sequence, with a
+table, a balanced tree's tables) and every generated sequence, with a
 markov walk's rows, is first checked against one memory budget,
 ``MEMORY_BUDGET``, by ``check_memory``.  A sequence's count table needs
 no (n+1)^2 table: when that table would be large next to m or past the
@@ -49,6 +49,20 @@ def check_memory(n: int, nbytes: int, what: str) -> None:
     if nbytes > MEMORY_BUDGET:
         raise UsageError(f"{what} for n={n} needs {nbytes} bytes, over the "
                          f"{MEMORY_BUDGET}-byte memory budget")
+
+
+def check_seed(seed: int) -> None:
+    """Raise UsageError for a negative seed, which numpy's generators
+    reject and random.Random would take as its absolute value."""
+    if seed < 0:
+        raise UsageError(f"seed must be >= 0, got {seed}")
+
+
+def check_universe(what: str, n: int, input_n: int) -> None:
+    """Raise InvalidInputError when ``what``, over keys 1..n, meets an
+    input over another universe."""
+    if n != input_n:
+        raise InvalidInputError(f"universe mismatch: {what} n={n}, input n={input_n}")
 
 
 @dataclass(frozen=True)

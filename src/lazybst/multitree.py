@@ -37,8 +37,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, UsageError
-from .model import SearchSequence, SearchStats, StaticTree, build_balanced
+from .errors import UsageError
+from .model import SearchSequence, SearchStats, StaticTree, build_balanced, check_universe
 from .optimize import _bisection_depths
 
 
@@ -140,8 +140,7 @@ def run_multitree(mt: MultiTree, x: SearchSequence) -> int:
     with its position, and each transition's code is looked up among
     them; a miss adds a descent of the global tree to b.
     """
-    if mt.n != x.n:
-        raise InvalidInputError(f"universe mismatch: structure n={mt.n}, input n={x.n}")
+    check_universe("structure", mt.n, x.n)
     if x.m == 0:
         return 0
     n = mt.n

@@ -21,10 +21,10 @@ every root.
 Every value the kernel stores is at most the cost of some tree on an
 interval plus its weight: 2 n (total transition count) for the lazy
 finger and n (total searches) for the root finger, taken from the count
-arrays themselves.  The kernel's tables are int32 when that bound is
+arrays themselves.  The kernel's table is int32 when that bound is
 below 2^31 and int64 otherwise.  The lazy optimizer's pair table is at
-the same width, and the pair and the DP tables are checked against the
-memory budget together, before either is built.
+the same width.  Each optimizer checks everything it holds against the
+memory budget once, before building any of it.
 
 Every builder here only picks a root per key interval; the tree itself
 comes from ``model.tree_from_splits``.  The weight-bisection builder
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropy import WeightVector
-from .model import SearchStats, StaticTree, check_memory, tree_from_splits
+from .model import SearchStats, StaticTree, check_memory, check_seed, tree_from_splits
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class OptResult:
 
 
 def _cost_dtype(bound: int) -> type[np.signedinteger]:
-    """Width of the DP tables whose every value is at most ``bound``:
+    """Width of the DP table whose every value is at most ``bound``:
     int32 when that fits, int64 otherwise."""
     return np.int32 if bound < 2**31 else np.int64
 
@@ -63,12 +63,12 @@ def _lazy_bound(s: SearchStats) -> int:
     return 2 * s.n * int(s.count.sum())
 
 
-def _dp_bytes(n: int, bound: int) -> int:
-    """Bytes ``_interval_dp`` holds at its peak: H, E and buf at the cost
-    width, 2.25 widths a cell, and one byte a cell for the rest: 10 bytes
-    a cell at int32, 19 at int64.  The measured tracemalloc peaks are
-    9.1-9.5 and 18.1-18.9 from n = 384 to 1024."""
-    return (9 * np.dtype(_cost_dtype(bound)).itemsize // 4 + 1) * (n + 1) ** 2
+def _dp_bytes(n: int, dtype: type[np.signedinteger]) -> int:
+    """Bytes ``_interval_dp`` holds at its peak: its one table and buf at
+    ``dtype``, 1.25 widths a cell, and one byte a cell for the rest: 6
+    bytes a cell at int32, 11 at int64.  The measured tracemalloc peaks
+    at n = 512 are 5.31 and 10.57."""
+    return (5 * np.dtype(dtype).itemsize // 4 + 1) * (n + 1) ** 2
 
 
 STEP = 16       # lengths between two samples of the root band
@@ -88,7 +88,7 @@ def _first_argmins(slab: np.ndarray, budget: int) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
-def _interval_dp(n: int, weights: Iterable[np.ndarray], bound: int,
+def _interval_dp(n: int, weights: Iterable[np.ndarray], dtype: type[np.signedinteger],
                  monotone: bool = False) -> OptResult:
     """Cheapest tree on 1..n whose cost is the sum of the weights over the
     subtrees of its non-root nodes.
@@ -100,9 +100,12 @@ def _interval_dp(n: int, weights: Iterable[np.ndarray], bound: int,
     once by start and once by end with the lengths reversed, so the
     roots of every interval of one length form one slab of contiguous
     rows, one row per root offset, and its minimum over the rows is that
-    length's row of G.  The tree walk scores one interval's roots again
-    from the final tables; argmin returns the first minimum, i.e. the
-    smallest root.
+    length's row of G.  Both are views of one (n+1) x (n+3) table T,
+    H[l, a] = T[l, a] and E[r, b] = T[r, b+2]: in row x, H reads only
+    columns up to n+1-x and E only columns from n-x+2, so no cell is
+    shared.  The tree walk scores one interval's roots again from the
+    final table; argmin returns the first minimum, i.e. the smallest
+    root.
 
     ``monotone`` says the weights grow with the interval and satisfy the
     quadrangle inequality, as search counts do; then the smallest optimal
@@ -115,14 +118,14 @@ def _interval_dp(n: int, weights: Iterable[np.ndarray], bound: int,
     walk's tree, is the full slab's.  The cut weights are not monotone,
     and the lazy DP scores every root.
 
-    ``bound`` is at least every G value and every sum of two: the tables
-    are int32 when it is below 2^31 and int64 otherwise.  argmin sees the
-    same integers at either width, so the tree does not depend on it.
+    ``dtype`` holds every G value and every sum of two, and the caller
+    has checked ``_dp_bytes`` at it against the memory budget.  argmin
+    sees the same integers at either width, so the tree does not depend
+    on it.
     """
-    check_memory(n, _dp_bytes(n, bound), "interval DP tables")
-    dtype = _cost_dtype(bound)
-    H = np.zeros((n + 1, n + 1), dtype=dtype)     # H[len, a] = G[a, a+len-1]
-    E = np.zeros((n + 1, n + 1), dtype=dtype)     # E[n-len, b] = G[b-len+1, b]
+    T = np.zeros((n + 1, n + 3), dtype=dtype)
+    H = T[:, :n + 1]                              # H[len, a] = G[a, a+len-1]
+    E = T[:, 2:]                                  # E[n-len, b] = G[b-len+1, b]
     buf = np.empty((n + 1) ** 2 // 4, dtype=dtype)
     lo = hi = at = 0                              # the full slab until a sample
     for ln, weight in zip(range(1, n + 1), weights):
@@ -182,14 +185,12 @@ def optimal_lazy_dp(s: SearchStats) -> OptResult:
 
     The cut weights stream from a pair table at the DP's width.
     """
-    n = s.n
-    bound = _lazy_bound(s)
-    dtype = _cost_dtype(bound)
-    # Held at once: the pair and the DP tables, 14 and 27 bytes a cell
-    # (measured peaks 13.1-13.5 and 26.1-27.0 from n = 384 to 1024).
-    check_memory(n, np.dtype(dtype).itemsize * (n + 1) ** 2
-                 + _dp_bytes(n, bound), "lazy optimizer tables")
-    return _interval_dp(n, _cut_weights(s, dtype), bound)
+    dtype = _cost_dtype(_lazy_bound(s))
+    # Held at once: the pair and the DP table, 10 and 19 bytes a cell
+    # (measured peaks 9.40 and 18.78 at n = 512).
+    check_memory(s.n, np.dtype(dtype).itemsize * (s.n + 1) ** 2 + _dp_bytes(s.n, dtype),
+                 "lazy optimizer tables")
+    return _interval_dp(s.n, _cut_weights(s, dtype), dtype)
 
 
 def optimal_root_dp(s: SearchStats) -> OptResult:
@@ -198,9 +199,11 @@ def optimal_root_dp(s: SearchStats) -> OptResult:
     the edge above v exactly when a lies in subtree(v).  A search adds
     at most ln to G of an interval of ln keys holding its key, so n
     (total searches) bounds the DP's values."""
-    w = np.cumsum(s.searches)   # slot 0 is always 0
     n = s.n
-    return _interval_dp(n, (w[ln:] - w[:-ln] for ln in range(1, n + 1)), n * int(w[-1]),
+    dtype = _cost_dtype(n * int(s.searches.sum()))
+    check_memory(n, _dp_bytes(n, dtype), "interval DP tables")
+    w = np.cumsum(s.searches)   # slot 0 is always 0
+    return _interval_dp(n, (w[ln:] - w[:-ln] for ln in range(1, n + 1)), dtype,
                         monotone=True)
 
 
@@ -258,8 +261,9 @@ def treap_build(w: WeightVector, seed: int) -> StaticTree:
     Deterministic given (weights, seed): a single random.Random(seed)
     (Mersenne Twister) generator, intervals processed in preorder (node,
     then left subinterval, then right), one uniform draw per interval
-    mapped onto the weight prefix sums.
+    mapped onto the weight prefix sums.  A negative seed is refused.
     """
+    check_seed(seed)
     rng = random.Random(seed)
     prefix = w.prefix.tolist()
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .model import SearchSequence, SearchStats, check_memory
+from .model import SearchSequence, SearchStats, check_memory, check_seed
 
 KINDS = ("sequential", "bitrev", "rounds", "markov", "uniform")
 RANDOM_KINDS = ("rounds", "markov", "uniform")
@@ -112,8 +112,7 @@ def generate(spec: GeneratorSpec) -> SearchSequence:
             pos >>= 1
         return SearchSequence(n, rev + 1)
 
-    if spec.seed < 0:
-        raise UsageError(f"seed must be >= 0, got {spec.seed}")
+    check_seed(spec.seed)
     rng = np.random.default_rng(spec.seed)
 
     if kind == "uniform":

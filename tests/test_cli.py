@@ -182,9 +182,12 @@ def test_stats_empty_sequence_is_malformed(tmp_path, capsys):
 
 def test_multitree_and_compare_refuse_an_empty_sequence(tmp_path, capsys):
     path = seq_file(tmp_path, "x.seq", 3, [])
+    wfile = tmp_path / "w"
+    wfile.write_text("3\n1.0\n1.0\n1.0\n")
     # The empty sequence is named before compare's missing --seed.
     for argv in (["multitree", "--seq", path, "--d", "2"],
-                 ["compare", "--seq", path, "--seed", "1"], ["compare", "--seq", path]):
+                 ["compare", "--seq", path, "--seed", "1"], ["compare", "--seq", path],
+                 ["bound", "--weights", str(wfile), "--seq", path]):
         assert run(capsys, *argv) == (2, "", "error: empty sequence\n"), argv
 
 
@@ -587,6 +590,26 @@ def test_compare_refuses_a_bad_d_before_the_optimizers(tmp_path, capsys, monkeyp
 def test_compare_requires_seed(tmp_path, capsys):
     seq = seq_file(tmp_path, "x.seq", 2, [1, 2])
     assert run(capsys, "compare", "--seq", seq)[0] == 1
+
+
+def test_build_and_compare_refuse_a_negative_seed(tmp_path, capsys, monkeypatch):
+    # random.Random takes |seed|, so --seed -1 would draw the treap of
+    # --seed 1.  compare refuses it before the exact DPs run.
+    seq = seq_file(tmp_path, "x.seq", 3, [1, 3, 2, 1])
+    wfile = tmp_path / "w"
+    wfile.write_text("3\n1.0\n1.0\n1.0\n")
+    out = tmp_path / "t.tree"
+
+    def refuse(s):
+        raise AssertionError("optimizer ran")
+
+    monkeypatch.setattr(lazybst.cli, "optimal_lazy_dp", refuse)
+    monkeypatch.setattr(lazybst.cli, "optimal_root_dp", refuse)
+    for argv in (["build", "--kind", "treap", "--weights", str(wfile), "--seed", "-1",
+                  "--out", str(out)],
+                 ["compare", "--seq", seq, "--seed", "-1"]):
+        assert run(capsys, *argv) == (1, "", "error: seed must be >= 0, got -1\n"), argv
+    assert not out.exists()
 
 
 def test_cli_outputs_deterministic(tmp_path, capsys):

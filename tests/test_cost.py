@@ -98,11 +98,11 @@ def test_every_engine_refuses_depths_that_disagree_with_the_children():
 
 def test_universe_mismatch_errors():
     t = build_balanced(3)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="universe mismatch: tree n=3, input n=4"):
         run_root_finger(t, SearchSequence(4, [1]))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="universe mismatch: tree n=3, input n=2"):
         run_lazy_finger(t, SearchSequence(2, [1]))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="universe mismatch: tree n=3, input n=5"):
         cost_from_frequencies(t, frequencies_from_sequence(SearchSequence(5, [1])))
 
 

@@ -127,7 +127,7 @@ def test_df_bound_examples():
 
 
 def test_df_bound_errors():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="universe mismatch: weights n=2, input n=3"):
         df_bound(WeightVector.from_values([1, 1]), SearchSequence(3, [1, 2]))
     with pytest.raises(InvalidInputError):
         df_bound(WeightVector.from_values([1, 1]), SearchSequence(2, []))

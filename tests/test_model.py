@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from lazybst import (InvalidInputError, SearchSequence, StaticTree,
                      UsageError, build_balanced, build_tree, validate_tree)
-from lazybst import model
+from lazybst import model, optimize
 from lazybst.fileio import read_freq
 from lazybst.model import tree_from_splits
-from lazybst.optimize import _cut_weights, _interval_dp, optimal_lazy_dp
+from lazybst.optimize import _cut_weights, optimal_lazy_dp, optimal_root_dp
 from lazybst.seqgen import GeneratorSpec, frequencies_from_sequence, generate
 from support import (distance_matrix, lca, path_tree, random_pair_stats, random_tree,
                      stats_from_pair_counts, step_cost, subtree_intervals,
@@ -234,7 +234,7 @@ def test_memory_budget_refuses_before_allocating():
     calls = [
         ("count table", lambda: read_freq(freq).pair),
         ("lazy optimizer tables", lambda: optimal_lazy_dp(read_freq(freq))),
-        ("interval DP tables", lambda: _interval_dp(n, None, 0)),
+        ("interval DP tables", lambda: optimal_root_dp(read_freq(freq))),
         ("sequence of m=2 searches",
          lambda: generate(GeneratorSpec("markov", n, 2, seed=0))),
     ]
@@ -273,29 +273,54 @@ def test_memory_budget_refuses_before_allocating():
     assert (s.searches[[1, 2, n]].tolist(), s.first, s.last) == ([2, 2, 4], 1, n)
 
 
-def test_lazy_optimizer_checks_its_tables_once_before_the_cut(monkeypatch):
-    # The lazy optimizer holds the pair table its cut weights stream from,
-    # at the DP's width, and the DP tables at once: 4 + 10 bytes a cell
-    # at int32 and 8 + 19 at int64.
+def _assert_checked_once_before_building(monkeypatch, optimizer, what, per_cell):
+    """At n = 20, on a table whose DP runs at int32 and one at int64:
+    ``optimizer`` makes one memory check a call; with one byte less than
+    ``per_cell`` (bytes a cell at each width) it refuses before it holds
+    one table at that width, and at exactly that budget it returns the
+    unpatched tree."""
     n = 20
     cells = (n + 1) ** 2
     rng = np.random.default_rng(20)
-    for high, per_cell in ((10, 14), (10**7, 27)):
+    for high, itemsize, need in zip((10, 10**7), (4, 8), per_cell):
         s = stats_from_pair_counts(n, rng.integers(0, high, size=(n + 1, n + 1)))
-        want = optimal_lazy_dp(s)
+        want = optimizer(s)
         with monkeypatch.context() as mp:
-            mp.setattr(model, "MEMORY_BUDGET", per_cell * cells - 1)
+            checks = []
+            mp.setattr(optimize, "check_memory",
+                       lambda *args: checks.append(args[2]) or model.check_memory(*args))
+            mp.setattr(model, "MEMORY_BUDGET", need * cells - 1)
+            refused = ""
             tracemalloc.start()
             try:
-                with pytest.raises(UsageError, match=f"lazy optimizer tables for n={n} needs"):
-                    optimal_lazy_dp(s)
+                try:
+                    optimizer(s)
+                except UsageError as err:
+                    refused = str(err)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 8 * cells, peak   # not even the int64 pair table
-            mp.setattr(model, "MEMORY_BUDGET", per_cell * cells)
-            got = optimal_lazy_dp(s)
+            assert refused.startswith(f"{what} for n={n} needs {need * cells} bytes")
+            assert peak < itemsize * cells, (itemsize, peak)
+            mp.setattr(model, "MEMORY_BUDGET", need * cells)
+            got = optimizer(s)
+        assert checks == [what, what]
         assert (got.cost, got.tree) == (want.cost, want.tree)
+
+
+def test_lazy_optimizer_checks_its_tables_once_before_the_cut(monkeypatch):
+    # The lazy optimizer holds the pair table its cut weights stream from,
+    # at the DP's width, and the DP table at once: 4 + 6 bytes a cell at
+    # int32 and 8 + 11 at int64.
+    _assert_checked_once_before_building(monkeypatch, optimal_lazy_dp,
+                                         "lazy optimizer tables", (10, 19))
+
+
+def test_root_optimizer_checks_its_table_once_before_building_it(monkeypatch):
+    # The root optimizer holds only the DP table: 6 bytes a cell at int32
+    # and 11 at int64.
+    _assert_checked_once_before_building(monkeypatch, optimal_root_dp,
+                                         "interval DP tables", (6, 11))
 
 
 def test_short_sequence_over_a_large_universe_counts_by_sorting():

@@ -54,7 +54,7 @@ def test_single_search_and_mismatch():
     x = SearchSequence(7, [5])
     mt = build_multitree(frequencies_from_sequence(x), 2)
     assert run_multitree(mt, x) == mt.global_tree.depth[5] + 1
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="universe mismatch: structure n=7, input n=6"):
         run_multitree(mt, SearchSequence(6, [1]))
 
 
