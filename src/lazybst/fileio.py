@@ -295,8 +295,6 @@ def read_tree(text: str) -> StaticTree:
                                   f"got {keys[bad_key[0]]}")
     if bad_child.size:
         raise MalformedInputError(f"tree file: child out of range at key {bad_child[0] + 1}")
-    if not (1 <= root <= n):
-        raise MalformedInputError("tree file: root out of range")
     try:
         tree = build_tree(n, root, [0] + left.tolist(), [0] + right.tolist())
     except ValueError as e:

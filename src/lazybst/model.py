@@ -11,9 +11,9 @@ A tree is its child tables plus each key's depth; both costs are
 functions of depth alone, so no parent table is kept.  Every subtree of
 a BST is a key interval, so a tree is a choice of root per interval:
 ``tree_from_splits`` turns such a choice into a tree, in one walk, and
-``validate_tree`` checks a tree by walking the same intervals.  Every
-tree the package makes comes from ``tree_from_splits``; ``build_tree``
-only reads child tables given from outside, such as a tree file's.
+every tree the package makes comes from it.  Child tables given from
+outside, such as a tree file's, are read by one walk over the same
+intervals, which ``build_tree`` and ``validate_tree`` share.
 
 Every dense table whose size grows with n (a sequence's per-key search
 counts, the dense pair view, the lazy optimizer's pair table and the DP
@@ -83,45 +83,62 @@ class StaticTree:
     depth: tuple[int, ...]
 
 
-def build_tree(n: int, root: int, left, right) -> StaticTree:
-    """Attach the depth table to a child-table description of a tree given
-    from outside (a tree file, a test); the package's own trees come from
-    ``tree_from_splits``.
+def _walk(n: int, root: int, left, right) -> tuple[list, bool]:
+    """The depth table of the tree the child tables hang from ``root``,
+    and whether every key lay in the key interval its subtree covers.
 
-    Raises ValueError if the description is not a single binary tree
-    reaching every key exactly once (cycles, out-of-range children,
-    shared children, disconnected keys).  Does not check the search
-    order property; see validate_tree.
+    One walk over ``(v, lo, hi, d)``; v's children (0 is none) are read
+    left then right and get depth d.  Sibling intervals are disjoint and
+    a child's interval excludes its parent, so until a key falls outside
+    its interval none can repeat; from then on each child must be a key
+    not yet reached.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not (1 <= root <= n):
         raise ValueError("root out of range")
-    left = tuple(left)
-    right = tuple(right)
     if len(left) != n + 1 or len(right) != n + 1:
         raise ValueError("child tables must have length n + 1")
-    depth = [0] * (n + 1)
-    seen = [False] * (n + 1)
-    seen[root] = True
-    stack = [root]
-    count = 1
+    depth = [-1] * (n + 1)    # -1: not reached
+    depth[0] = depth[root] = 0
+
+    def fault(c: int) -> bool:
+        if not (1 <= c <= n):
+            raise ValueError(f"child key {c} out of range")
+        if depth[c] >= 0:
+            raise ValueError(f"key {c} reached twice")
+        return False
+
+    ordered = True
+    stack = [(root, 1, n, 1)]
     while stack:
-        v = stack.pop()
-        for c in (left[v], right[v]):
-            if c == NO_NODE:
-                continue
-            if not (1 <= c <= n):
-                raise ValueError(f"child key {c} out of range")
-            if seen[c]:
-                raise ValueError(f"key {c} reached twice")
-            seen[c] = True
-            depth[c] = depth[v] + 1
-            count += 1
-            stack.append(c)
-    if count != n:
+        v, lo, hi, d = stack.pop()
+        c = left[v]
+        if c:
+            if not (ordered and lo <= c < v):
+                ordered = fault(c)
+            depth[c] = d
+            stack.append((c, lo, v - 1, d + 1))
+        c = right[v]
+        if c:
+            if not (ordered and v < c <= hi):
+                ordered = fault(c)
+            depth[c] = d
+            stack.append((c, v + 1, hi, d + 1))
+    if -1 in depth:
         raise ValueError("tree does not reach every key")
-    return StaticTree(n, root, left, right, tuple(depth))
+    return depth, ordered
+
+
+def build_tree(n: int, root: int, left, right) -> StaticTree:
+    """The tree that child tables given from outside (a tree file, a
+    test) hang from ``root``, with its depth table; the package's own
+    trees come from ``tree_from_splits``.  ValueError unless the tables
+    are one binary tree reaching every key once (cycles, out-of-range,
+    shared or unreached keys); validate_tree checks the search order.
+    """
+    left, right = tuple(left), tuple(right)
+    return StaticTree(n, root, left, right, tuple(_walk(n, root, left, right)[0]))
 
 
 def tree_from_splits(n: int, split: Callable[[int, int], int]) -> StaticTree:
@@ -160,30 +177,13 @@ def tree_from_splits(n: int, split: Callable[[int, int], int]) -> StaticTree:
 
 def validate_tree(t: StaticTree) -> bool:
     """True iff t is a BST over keys 1..n whose depth table matches its
-    child tables.
-
-    One walk over ``(v, lo, hi, d)``: each key reached must lie in the
-    key interval lo..hi its subtree covers and sit at depth d, every
-    table must have n + 1 slots, and all n keys must be reached.
-    Sibling intervals are disjoint and a child's interval excludes its
-    parent, so no key is visited twice and the walk ends on any child
-    table, cyclic or shared ones included.
-    """
-    n, left, right, depth = t.n, t.left, t.right, t.depth
-    if len(left) != n + 1 or len(right) != n + 1 or len(depth) != n + 1:
+    child tables: ``_walk`` finds every key in its interval at t's depth."""
+    try:
+        depth, ordered = _walk(t.n, t.root, t.left, t.right)
+    except ValueError:
         return False
-    reached = 0
-    stack = [(t.root, 1, n, 0)]
-    while stack:
-        v, lo, hi, d = stack.pop()
-        if not lo <= v <= hi or depth[v] != d:
-            return False
-        reached += 1
-        if right[v] != NO_NODE:
-            stack.append((right[v], v + 1, hi, d + 1))
-        if left[v] != NO_NODE:
-            stack.append((left[v], lo, v - 1, d + 1))
-    return reached == n
+    depth[:1] = t.depth[:1]    # slot 0 is padding, whatever it holds
+    return ordered and tuple(depth) == tuple(t.depth)
 
 
 def check_tree(t: StaticTree) -> None:

@@ -1,11 +1,11 @@
 """Shared helpers for the test suite: random instances, fixed count
 files, count tables from dense pair tables, independent oracles (tree
-distances, tree validation, the lazy DP's whole cut table, brute-force
-and exhaustive optimizers, the exact and the per-interval float weight
-bisections, the per-search multitree walk, the per-step markov walk),
-the Eulerian stitcher that turns a count table back into a sequence,
-the per-line sequence and count writers that the numpy text kernel
-replaced, and the seeded fuzz of the readers and of the command
+distances, tree reading and validation, the lazy DP's whole cut table,
+brute-force and exhaustive optimizers, the exact and the per-interval
+float weight bisections, the per-search multitree walk, the per-step
+markov walk), the Eulerian stitcher that turns a count table back into
+a sequence, the per-line sequence and count writers that the numpy text
+kernel replaced, and the seeded fuzz of the readers and of the command
 line."""
 
 from __future__ import annotations
@@ -346,6 +346,39 @@ def validate_tree_inorder(t: StaticTree) -> bool:
             if c != NO_NODE and t.depth[c] != t.depth[k] + 1:
                 return False
     return True
+
+
+def build_tree_dfs(n: int, root: int, left, right) -> tuple[int, ...]:
+    """Reference for build_tree's depths and refusals: a depth-first walk
+    that checks every child's range, marks each key reached and counts
+    them, raising build_tree's ValueError texts."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not (1 <= root <= n):
+        raise ValueError("root out of range")
+    if len(left) != n + 1 or len(right) != n + 1:
+        raise ValueError("child tables must have length n + 1")
+    depth = [0] * (n + 1)
+    seen = [False] * (n + 1)
+    seen[root] = True
+    stack = [root]
+    count = 1
+    while stack:
+        v = stack.pop()
+        for c in (left[v], right[v]):
+            if c == NO_NODE:
+                continue
+            if not (1 <= c <= n):
+                raise ValueError(f"child key {c} out of range")
+            if seen[c]:
+                raise ValueError(f"key {c} reached twice")
+            seen[c] = True
+            depth[c] = depth[v] + 1
+            count += 1
+            stack.append(c)
+    if count != n:
+        raise ValueError("tree does not reach every key")
+    return tuple(depth)
 
 
 def lg(v: float) -> float:

@@ -174,6 +174,25 @@ def test_files_are_utf8_under_any_locale(tmp_path):
     assert done.returncode == 2 and "not text" in done.stderr
 
 
+def test_python_dash_m_runs_the_cli(tmp_path):
+    """``python -m lazybst`` and ``python -m lazybst.cli`` run the same
+    command line as the installed script, exit code included."""
+    env = dict(os.environ, PYTHONPATH=str(Path(lazybst.__file__).parents[1]))
+
+    def cli(module, *argv):
+        return subprocess.run([sys.executable, "-W", "error", "-m", module, *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60)
+
+    for module in ("lazybst", "lazybst.cli"):
+        out = tmp_path / f"{module}.seq"
+        done = cli(module, "gen", "--kind", "sequential", "--n", "3", "--m", "4",
+                   "--out", str(out))
+        assert done.returncode == 0, done.stderr
+        assert out.read_bytes() == b"3 4\n1 2 3 1\n"
+    done = cli("lazybst", "opt")
+    assert done.returncode == 1 and done.stderr.startswith("error: ")
+
+
 def test_stats_empty_sequence_is_malformed(tmp_path, capsys):
     path = seq_file(tmp_path, "x.seq", 3, [])
     code, _, err = run(capsys, "stats", "--seq", path)

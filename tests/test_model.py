@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,8 +13,8 @@ from lazybst.fileio import read_freq
 from lazybst.model import tree_from_splits
 from lazybst.optimize import _cut_weights, optimal_lazy_dp, optimal_root_dp
 from lazybst.seqgen import GeneratorSpec, frequencies_from_sequence, generate
-from support import (distance_matrix, lca, path_tree, random_pair_stats, random_tree,
-                     stats_from_pair_counts, step_cost, subtree_intervals,
+from support import (build_tree_dfs, distance_matrix, lca, path_tree, random_pair_stats,
+                     random_tree, stats_from_pair_counts, step_cost, subtree_intervals,
                      validate_tree_inorder, vee_tree, walk_step_oracle)
 
 
@@ -136,6 +137,50 @@ def test_build_tree_rejects_broken_structures():
         build_tree(2, 1, [0, 0, 0], [0, 5, 0])  # child out of range
 
 
+def test_build_tree_refuses_bad_sizes_and_roots():
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        build_tree(0, 1, [0], [0])
+    for root in (0, 4):
+        with pytest.raises(ValueError, match="^root out of range$"):
+            build_tree(3, root, [0, 0, 1, 0], [0, 0, 3, 0])
+    for left, right in (([0, 0, 1], [0, 0, 3, 0]), ([0, 0, 1, 0], [0, 0, 3, 0, 0])):
+        with pytest.raises(ValueError, match="^child tables must have length n \\+ 1$"):
+            build_tree(3, 2, left, right)
+        assert not validate_tree(StaticTree(3, 2, tuple(left), tuple(right), (0, 1, 0, 1)))
+    assert validate_tree(StaticTree(3, 2, (0, 0, 1, 0), (0, 0, 3, 0), (0, 1, 0, 1)))
+
+
+def test_build_tree_checks_every_child_after_the_first_out_of_place_key():
+    # Key 4 lies outside 3's left interval 2..2; after it, key 3 comes
+    # back as 4's right child and is named, as a key reached twice.
+    with pytest.raises(ValueError, match="^key 3 reached twice$"):
+        build_tree(4, 1, [0, 0, 0, 4, 2], [0, 3, 0, 0, 3])
+    # Key 3 as the left child of 2 is out of place and 1 as its right
+    # child too: the tables build but are no BST.
+    t = build_tree(3, 2, [0, 0, 3, 0], [0, 0, 1, 0])
+    assert t.depth == (0, 1, 0, 1)
+    assert not validate_tree(t) and not validate_tree_inorder(t)
+    # Order faults with a key past n and a key never reached.
+    with pytest.raises(ValueError, match="^child key 7 out of range$"):
+        build_tree(3, 2, [0, 0, 3, 0], [0, 0, 7, 0])
+    with pytest.raises(ValueError, match="^tree does not reach every key$"):
+        build_tree(3, 2, [0, 0, 3, 0], [0, 0, 0, 0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tree_tables())
+def test_build_tree_agrees_with_a_seen_and_count_walk(t):
+    """Same depths, or the same ValueError text, as a depth-first walk
+    that checks every child it reaches."""
+    try:
+        want = build_tree_dfs(t.n, t.root, t.left, t.right)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(e))}$"):
+            build_tree(t.n, t.root, t.left, t.right)
+    else:
+        assert build_tree(t.n, t.root, t.left, t.right).depth == want
+
+
 def test_step_cost_worked_values():
     t = build_balanced(7)
     assert step_cost(t, 4, 7) == 2
@@ -194,6 +239,11 @@ def test_sequence_validation():
     with pytest.raises(InvalidInputError):
         SearchSequence(0, [])
     assert SearchSequence(5, []).m == 0
+
+
+def test_sequence_refuses_items_of_more_than_one_dimension():
+    with pytest.raises(InvalidInputError, match="^items must be one-dimensional$"):
+        SearchSequence(3, [[1, 2]])
 
 
 def test_stats_from_pair_counts():

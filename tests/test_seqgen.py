@@ -79,6 +79,15 @@ def test_markov_refuses_a_matrix_of_the_wrong_shape_or_sign():
             generate(GeneratorSpec("markov", 3, 10, seed=0, matrix=matrix))
 
 
+def test_markov_of_no_searches_is_empty_but_checks_its_matrix():
+    for matrix in (None, np.roll(np.eye(3), 1, axis=1)):
+        x = generate(GeneratorSpec("markov", 3, 0, seed=1, matrix=matrix))
+        assert x.n == 3 and x.m == 0 and x.items.dtype == np.int64
+        assert write_sequence(x) == "3 0\n"
+    with pytest.raises(UsageError, match="rows must sum to 1"):
+        generate(GeneratorSpec("markov", 3, 0, seed=1, matrix=np.full((3, 3), 0.5)))
+
+
 class _EdgeRng:
     """numpy's seeded generator, except that about a third of its uniform
     draws are replaced by values where the walk's buckets meet."""
