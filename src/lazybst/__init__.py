@@ -7,7 +7,7 @@ computes the entropy quantities that bound their cost, and generates
 the adversarial and stochastic workloads the bounds are about.
 """
 
-from .cost import CostReport, cost_from_frequencies, run_lazy_finger, run_root_finger
+from .cost import CostReport, run_lazy_finger, run_root_finger
 from .entropy import WeightVector, conditional_entropy, df_bound, entropy, \
     weights_from_tree
 from .errors import InvalidInputError, MalformedInputError, ToolError, UsageError
@@ -26,7 +26,7 @@ __all__ = [
     "MultiTree", "NO_NODE", "OptResult", "SearchSequence", "SearchStats",
     "StaticTree", "SuccessorTree", "ToolError", "UsageError", "WeightVector",
     "build_balanced", "build_multitree", "build_tree", "conditional_entropy",
-    "cost_from_frequencies", "df_bound", "entropy", "frequencies_from_sequence",
+    "df_bound", "entropy", "frequencies_from_sequence",
     "generate", "mehlhorn_build", "node_count", "optimal_lazy_dp", "optimal_root_dp",
     "probe", "run_lazy_finger", "run_multitree", "run_root_finger", "treap_build",
     "validate_tree", "weights_from_tree",

@@ -18,7 +18,7 @@ from .cost import run_lazy_finger, run_root_finger
 from .entropy import WeightVector, conditional_entropy, df_bound, entropy, \
     weights_from_tree
 from .errors import MalformedInputError, ToolError, UsageError
-from .model import build_balanced, check_seed
+from .model import build_balanced, check_seed, check_universe
 from .multitree import build_multitree, node_count, run_multitree
 from .optimize import mehlhorn_build, optimal_lazy_dp, optimal_root_dp, treap_build
 from .seqgen import RANDOM_KINDS, GeneratorSpec, KINDS, frequencies_from_sequence, \
@@ -53,18 +53,20 @@ def _load_stats(args):
     return fileio.read_freq(_read(args.freq))
 
 
-def _nonempty_sequence(args):
-    """The --seq sequence, refused when empty."""
+def _load_sequence(args, universe=None):
+    """The --seq sequence, refused when empty, and its count table.  With
+    ``universe``, a (what, n) pair, a sequence over another universe is
+    refused before it is counted, which for a huge n would fail first."""
     if (x := fileio.read_sequence(_read(args.seq))).m == 0:
         raise MalformedInputError("empty sequence")
-    return x
+    if universe:
+        check_universe(*universe, x.n)
+    return x, frequencies_from_sequence(x)
 
 
-def _load_sequence(args):
-    """The --seq sequence, refused when empty, its count table and H_c."""
-    x = _nonempty_sequence(args)
-    s = frequencies_from_sequence(x)
-    return x, s, conditional_entropy(s) if x.m >= 2 else 0.0
+def _h_c(s) -> float:
+    """H_c as the reports print it: 0 below two searches."""
+    return conditional_entropy(s) if s.m >= 2 else 0.0
 
 
 def cmd_gen(args) -> int:
@@ -93,11 +95,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    x, s, hc = _load_sequence(args)
+    x, s = _load_sequence(args)
     print(f"n\t{x.n}")
     print(f"m\t{x.m}")
     print(f"H\t{entropy(s):.6f}")
-    print(f"H_c\t{hc:.6f}")
+    print(f"H_c\t{_h_c(s):.6f}")
     return 0
 
 
@@ -137,8 +139,9 @@ def cmd_build(args) -> int:
 def cmd_eval(args) -> int:
     tree = fileio.read_tree(_read(args.tree))
     x = fileio.read_sequence(_read(args.seq))
-    run = run_lazy_finger if args.method == "lazy" else run_root_finger
-    rep = run(tree, x)
+    check_universe("tree", tree.n, x.n)   # before a count over a huge n fails
+    rep = (run_lazy_finger(tree, frequencies_from_sequence(x)) if args.method == "lazy"
+           else run_root_finger(tree, x))
     print(f"transition_cost\t{rep.transition_cost}")
     print(f"initial_descent\t{rep.initial_descent}")
     print(f"total_with_root_start\t{rep.total_with_root_start}")
@@ -148,8 +151,8 @@ def cmd_eval(args) -> int:
 
 def cmd_bound(args) -> int:
     w = fileio.read_weights(_read(args.weights))
-    x = _nonempty_sequence(args)
-    print(f"df_bound\t{df_bound(w, x):.6f}")
+    _, s = _load_sequence(args, ("weights", w.n))
+    print(f"df_bound\t{df_bound(w, s):.6f}")
     return 0
 
 
@@ -160,7 +163,7 @@ def cmd_weights(args) -> int:
 
 
 def cmd_multitree(args) -> int:
-    x, s, hc = _load_sequence(args)
+    x, s = _load_sequence(args)
     mt = build_multitree(s, args.d)
     total = run_multitree(mt, x)
     if args.dump:   # written first: a dump that fails leaves no report
@@ -176,28 +179,28 @@ def cmd_multitree(args) -> int:
     print(f"nodes\t{node_count(mt)}")
     print(f"total_comparisons\t{total}")
     print(f"per_search_avg\t{total / x.m:.6f}")
-    print(f"H_c\t{hc:.6f}")
+    print(f"H_c\t{_h_c(s):.6f}")
     return 0
 
 
 def cmd_compare(args) -> int:
-    x, s, hc = _load_sequence(args)
+    x, s = _load_sequence(args)
     if args.seed is None:
         raise UsageError("--seed is required for compare (treap strategy)")
     check_seed(args.seed)
-    h = entropy(s)
+    h, hc = entropy(s), _h_c(s)
     d = args.d if args.d is not None else min(16, x.n)
     mt = build_multitree(s, d)   # refuses a bad --d before the exact DPs run
 
     rows = []   # (strategy, total, notes)
 
     bal = build_balanced(x.n)
-    rows.append(("balanced-lazy", run_lazy_finger(bal, x).transition_cost,
+    rows.append(("balanced-lazy", run_lazy_finger(bal, s).transition_cost,
                  f"model=edges;H_c={hc:.6f}"))
 
     opt_lazy = optimal_lazy_dp(s)
     w4 = weights_from_tree(opt_lazy.tree)
-    df = df_bound(w4, x)
+    df = df_bound(w4, s)
     rows.append(("opt-lazy", opt_lazy.cost, f"model=edges;H_c={hc:.6f};df_bound={df:.6f}"))
 
     opt_root = optimal_root_dp(s)
@@ -210,7 +213,7 @@ def cmd_compare(args) -> int:
                  f"model=edges;H={h:.6f}"))
 
     treap = treap_build(w4, args.seed)
-    rows.append(("treap-lazy", run_lazy_finger(treap, x).transition_cost,
+    rows.append(("treap-lazy", run_lazy_finger(treap, s).transition_cost,
                  f"model=edges;seed={args.seed};df_bound={df:.6f}"))
 
     rows.append(("multitree", run_multitree(mt, x), f"model=comparisons;d={d};H_c={hc:.6f}"))

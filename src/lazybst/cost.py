@@ -10,10 +10,11 @@ Every lazy cost here comes from ``path_lengths``: in a BST the lowest
 common ancestor of keys a <= b is the shallowest key in a..b, so the
 path between them has ``depth[a] + depth[b] - 2 min(depth[a..b])``
 edges.  Search i of a lazy finger costs pathlen(x_{i-1}, x_i) wherever
-it falls in the sequence, so the lazy cost is a function of the count
-table alone: one such call over its ``(a, b, count)`` triples, weighted
-by count, plus the descent to x_1.  A root-finger cost is one gather
-of depth over the m searches, which is cheaper than counting them.
+it falls in the sequence, so ``run_lazy_finger`` reads the count table
+alone: one such call over its ``(a, b, count)`` triples, weighted by
+count, plus the descent to the first search.  A caller holding a
+sequence passes ``x.stats``.  ``run_root_finger`` takes the sequence:
+one gather of depth over the m searches is cheaper than counting them.
 
 Both engines read a tree through its depth table alone, so both first
 check it with ``validate_tree`` and refuse, with InvalidInputError, a
@@ -81,17 +82,11 @@ def run_root_finger(t: StaticTree, x: SearchSequence) -> CostReport:
     return _report(total, 0, x.m)
 
 
-def run_lazy_finger(t: StaticTree, x: SearchSequence) -> CostReport:
-    """Lazy-finger cost: the path lengths between consecutive searches,
-    costed from the sequence's count table, with the initial descent
-    from the root to x_1 reported separately."""
-    check_universe("tree", t.n, x.n)
-    transition = cost_from_frequencies(t, x.stats)
-    return _report(transition, t.depth[x.items[0]] if x.m else 0, x.m)
-
-
-def cost_from_frequencies(t: StaticTree, s: SearchStats) -> int:
-    """Lazy transition cost from a count table: the sum over its
-    transitions a -> b of count * pathlen(a, b)."""
+def run_lazy_finger(t: StaticTree, s: SearchStats) -> CostReport:
+    """Lazy-finger cost of a count table: the sum over its transitions
+    a -> b of count * pathlen(a, b), with the initial descent from the
+    root to the first search reported separately."""
     check_universe("tree", t.n, s.n)
-    return int((s.count * path_lengths(t, s.a, s.b)).sum())
+    transition = int((s.count * path_lengths(t, s.a, s.b)).sum())
+    # An empty table's ``first`` is 0, whose depth slot is padding.
+    return _report(transition, t.depth[s.first] if s.m else 0, s.m)

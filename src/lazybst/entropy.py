@@ -3,9 +3,10 @@
 Entropies are in bits.  ``entropy`` is the plain entropy of the search
 distribution; ``conditional_entropy`` conditions each search on its
 predecessor and is normalized by the transition count t = m - 1, not by
-m, so a perfectly predictable chain scores exactly zero.  Like the lazy
-cost it bounds, ``df_bound`` is a function of the count table's
-``(a, b, count)`` triples.
+m, so a perfectly predictable chain scores exactly zero.  Every
+function here that reads searches takes the count table
+(``SearchStats``), never the sequence: like the lazy cost it bounds,
+``df_bound`` is a sum over the table's ``(a, b, count)`` triples.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .model import SearchSequence, SearchStats, StaticTree, check_tree, check_universe
+from .model import SearchStats, StaticTree, check_tree, check_universe
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,19 +91,19 @@ def weights_from_tree(t: StaticTree) -> WeightVector:
     return WeightVector.from_values(np.ldexp(1.0, -2 * np.asarray(t.depth[1:])))
 
 
-def df_bound(w: WeightVector, x: SearchSequence) -> float:
+def df_bound(w: WeightVector, s: SearchStats) -> float:
     """Weighted dynamic-finger bound on the lazy transition cost.
 
     Sum over consecutive pairs (a, b) of lg(range-sum / min endpoint
     weight), where the range runs over keys between a and b inclusive.
     A term depends only on its pair, so the sum runs over the count
-    table's distinct transitions, each term times its count.  A
+    table's distinct transitions, each term times its count; a caller
+    holding a sequence passes ``x.stats``.  A
     transition a -> a contributes exactly 0 (its range is just {a}).
     """
-    check_universe("weights", w.n, x.n)
-    if x.m < 1:
+    check_universe("weights", w.n, s.n)
+    if s.m < 1:
         raise InvalidInputError("df_bound needs at least one search")
-    s = x.stats
     a, b = s.a, s.b
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)

@@ -25,8 +25,8 @@ import numpy as np
 
 from lazybst import (GeneratorSpec, InvalidInputError, MultiTree, NO_NODE, OptResult,
                      SearchSequence, SearchStats, StaticTree, SuccessorTree, UsageError,
-                     WeightVector, build_tree, cost_from_frequencies,
-                     frequencies_from_sequence, mehlhorn_build)
+                     WeightVector, build_tree, frequencies_from_sequence, mehlhorn_build,
+                     run_lazy_finger)
 from lazybst.cli import build_parser, main
 from lazybst.fileio import (write_freq, write_matrix, write_sequence, write_tree,
                             write_weights)
@@ -614,7 +614,7 @@ def enumerate_optimal(s: SearchStats, max_n: int = 10) -> OptResult:
             if L is not None:
                 stack.append(L)
         tree = build_tree(n, shape[0], left, right)
-        cost = cost_from_frequencies(tree, s)
+        cost = run_lazy_finger(tree, s).transition_cost
         pre_t = tuple(pre)
         if best_cost is None or cost < best_cost or \
                 (cost == best_cost and pre_t < best_pre):

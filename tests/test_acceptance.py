@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lazybst import (GeneratorSpec, SearchSequence, SearchStats, WeightVector,
-                     build_balanced, conditional_entropy, cost_from_frequencies,
+                     build_balanced, conditional_entropy,
                      df_bound, entropy, frequencies_from_sequence, generate,
                      mehlhorn_build, optimal_lazy_dp, optimal_root_dp,
                      run_lazy_finger, run_root_finger, treap_build,
@@ -21,7 +21,7 @@ from lazybst.cli import main
 from lazybst.multitree import build_multitree, node_count, run_multitree
 from support import (closed_form_lazy_total, distance_matrix, enumerate_optimal,
                      exact_weight_inequality_holds, optimal_lazy_naive,
-                     random_pair_stats, random_sequence, random_tree)
+                     random_pair_stats, random_sequence, random_tree, step_cost)
 
 LG3 = math.log2(3.0)
 
@@ -71,9 +71,13 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_recurrence_vs_simulation(walk_corpus):
     violations = []
     for t, x in walk_corpus:
-        walk = run_lazy_finger(t, x)
+        walk = run_lazy_finger(t, x.stats)
         closed = closed_form_lazy_total(t, x)
-        counted = cost_from_frequencies(t, frequencies_from_sequence(x))
+        # The engine reads the count table; this side sums the same
+        # triples with the tests' own parent-walk path length.
+        s = frequencies_from_sequence(x)
+        counted = sum(c * step_cost(t, a, b)
+                      for a, b, c in zip(s.a.tolist(), s.b.tolist(), s.count.tolist()))
         if walk.total_with_root_start != closed:
             violations.append((t.n, x.m, walk.total_with_root_start, closed))
         if walk.transition_cost != counted:
@@ -94,7 +98,7 @@ def test_criterion_3_depth_weight_inequality():
 def test_criterion_4_lazy_at_most_twice_root(walk_corpus):
     violations = []
     for t, x in walk_corpus:
-        lazy = run_lazy_finger(t, x).total_with_root_start
+        lazy = run_lazy_finger(t, x.stats).total_with_root_start
         root = run_root_finger(t, x).total_with_root_start
         if lazy > 2 * root:
             violations.append((t.n, x.m, lazy, root))
@@ -163,10 +167,10 @@ def test_criterion_7_two_sided_optimal_check():
         s = frequencies_from_sequence(x)
         opt = optimal_lazy_dp(s)
         w4 = weights_from_tree(opt.tree)
-        df = df_bound(w4, x)
+        df = df_bound(w4, s)
         if opt.cost > df:
             violations.append((seed, "df", opt.cost, df))
-        best = min(cost_from_frequencies(treap_build(w4, ts), s)
+        best = min(run_lazy_finger(treap_build(w4, ts), s).transition_cost
                    for ts in range(32))
         if best > 4 * opt.cost + 4 * x.m:
             violations.append((seed, "treap", best, opt.cost))

@@ -210,6 +210,22 @@ def test_multitree_and_compare_refuse_an_empty_sequence(tmp_path, capsys):
         assert run(capsys, *argv) == (2, "", "error: empty sequence\n"), argv
 
 
+def test_eval_and_bound_name_a_universe_mismatch_before_counting(tmp_path, capsys):
+    # Counting a sequence over 10^12 keys would fail on its per-key
+    # counts (exit 1); the mismatch with the tree or weights is named first.
+    path = tmp_path / "x.seq"
+    path.write_text("1000000000000 2\n5 6\n")
+    tree = tmp_path / "t"
+    tree.write_text(write_tree(build_balanced(3)))
+    wfile = tmp_path / "w"
+    wfile.write_text("3\n1.0\n1.0\n1.0\n")
+    for argv, what in ((["eval", "--method", "lazy", "--tree", str(tree)], "tree"),
+                       (["eval", "--method", "root", "--tree", str(tree)], "tree"),
+                       (["bound", "--weights", str(wfile)], "weights")):
+        want = f"error: universe mismatch: {what} n=3, input n=1000000000000\n"
+        assert run(capsys, *argv, "--seq", str(path)) == (3, "", want), argv
+
+
 def test_gen_takes_n_from_the_matrix(tmp_path, capsys):
     matrix = np.array([[0.0, 0.5, 0.5], [0.25, 0.0, 0.75], [1.0, 0.0, 0.0]])
     mfile = tmp_path / "m"

@@ -118,19 +118,19 @@ def test_weight_vector_rejects_nonpositive():
 
 def test_df_bound_examples():
     assert df_bound(WeightVector.from_values([1, 1, 1]),
-                    SearchSequence(3, [2, 2])) == 0.0
+                    SearchSequence(3, [2, 2]).stats) == 0.0
     assert df_bound(WeightVector.from_values([1, 1, 1, 1]),
-                    SearchSequence(4, [1, 4])) == 2.0
+                    SearchSequence(4, [1, 4]).stats) == 2.0
     assert df_bound(WeightVector.from_values([1, 2, 1]),
-                    SearchSequence(3, [1, 3])) == 2.0
-    assert df_bound(WeightVector.from_values([5, 5]), SearchSequence(2, [1])) == 0.0
+                    SearchSequence(3, [1, 3]).stats) == 2.0
+    assert df_bound(WeightVector.from_values([5, 5]), SearchSequence(2, [1]).stats) == 0.0
 
 
 def test_df_bound_errors():
     with pytest.raises(InvalidInputError, match="universe mismatch: weights n=2, input n=3"):
-        df_bound(WeightVector.from_values([1, 1]), SearchSequence(3, [1, 2]))
+        df_bound(WeightVector.from_values([1, 1]), SearchSequence(3, [1, 2]).stats)
     with pytest.raises(InvalidInputError):
-        df_bound(WeightVector.from_values([1, 1]), SearchSequence(2, []))
+        df_bound(WeightVector.from_values([1, 1]), SearchSequence(2, []).stats)
 
 
 def test_df_bound_matches_the_sum_over_consecutive_pairs():
@@ -151,7 +151,7 @@ def test_df_bound_matches_the_sum_over_consecutive_pairs():
                 wa, wb = float(w.w[a]), float(w.w[b])
                 total = max(float(w.prefix[hi] - w.prefix[lo - 1]), wa + wb)
                 expect += math.log2(total) - math.log2(min(wa, wb))
-        assert math.isclose(df_bound(w, SearchSequence(n, items)), expect,
+        assert math.isclose(df_bound(w, SearchSequence(n, items).stats), expect,
                             rel_tol=1e-12, abs_tol=1e-12)
 
 
@@ -163,7 +163,7 @@ def test_df_bound_terms_nonnegative_even_for_wild_weights():
         w = WeightVector.from_values(vals)
         for _ in range(10):
             a, b = rng.randint(1, n), rng.randint(1, n)
-            assert df_bound(w, SearchSequence(n, [a, b])) >= 0.0
+            assert df_bound(w, SearchSequence(n, [a, b]).stats) >= 0.0
 
 
 def test_weight_inequality_exact_on_random_and_pathological_trees():
@@ -182,4 +182,4 @@ def test_lazy_cost_at_most_df_bound_of_own_weights():
         t = random_tree(rng, n)
         x = random_sequence(rng, n, rng.randint(1, 150))
         w = weights_from_tree(t)
-        assert run_lazy_finger(t, x).transition_cost <= df_bound(w, x) + 1e-9
+        assert run_lazy_finger(t, x.stats).transition_cost <= df_bound(w, x.stats) + 1e-9

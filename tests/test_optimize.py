@@ -8,7 +8,7 @@ import pytest
 
 from lazybst import (GeneratorSpec, InvalidInputError, SearchSequence, SearchStats,
                      UsageError, WeightVector, build_balanced, conditional_entropy,
-                     cost_from_frequencies, df_bound, entropy, frequencies_from_sequence,
+                     df_bound, entropy, frequencies_from_sequence,
                      generate, mehlhorn_build, optimal_lazy_dp, optimal_root_dp,
                      run_lazy_finger, run_root_finger, treap_build, validate_tree,
                      weights_from_tree)
@@ -159,7 +159,7 @@ def test_lazy_dp_tables_take_10_bytes_a_cell_at_int32_and_19_at_int64():
         finally:
             tracemalloc.stop()
         assert peak <= per_cell * (n + 1) ** 2, (high, peak / (n + 1) ** 2)
-        assert cost_from_frequencies(res.tree, s) == res.cost
+        assert run_lazy_finger(res.tree, s).transition_cost == res.cost
 
 
 def _hot_key_stats(n, count):
@@ -306,7 +306,7 @@ def test_oracle_triangle_small():
         for fn in (optimal_lazy_naive, optimal_lazy_dp, enumerate_optimal):
             res = fn(s)
             assert validate_tree(res.tree)
-            assert cost_from_frequencies(res.tree, s) == res.cost
+            assert run_lazy_finger(res.tree, s).transition_cost == res.cost
             costs.add(res.cost)
         assert len(costs) == 1
 
@@ -328,8 +328,8 @@ def test_recurrence_audit_against_stitched_sequences():
         s = frequencies_from_sequence(x)
         res = optimal_lazy_dp(s)
         stitched = stitch_sequence(s)
-        assert run_lazy_finger(res.tree, stitched).transition_cost == res.cost
-        assert cost_from_frequencies(res.tree, s) == res.cost
+        assert run_lazy_finger(res.tree, stitched.stats).transition_cost == res.cost
+        assert run_lazy_finger(res.tree, s).transition_cost == res.cost
 
 
 def test_optimal_lazy_cost_separates_at_equal_entropies():
@@ -652,10 +652,10 @@ def test_treap_average_within_df_bound_envelope():
         x = generate(GeneratorSpec("markov", 48, 6000, seed=seed))
         s = frequencies_from_sequence(x)
         w = weights_from_tree(optimal_lazy_dp(s).tree)
-        df = df_bound(w, x)
+        df = df_bound(w, s)
         total = 0
         for ts in range(32):
-            total += cost_from_frequencies(treap_build(w, ts), s)
+            total += run_lazy_finger(treap_build(w, ts), s).transition_cost
         assert total / 32 <= 4 * df + 4 * x.m
 
 
